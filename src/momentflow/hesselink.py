@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import CartanContext, weyl_normalize
-from .minnorm import (MinNormCertificate, RationalVector, min_norm_point,
+from .minnorm import (RationalVector, _feasible_affine_minimizers, min_norm_point,
                       to_rational_vector)
 from .momentmap import MomentValue
 from .reps import (RepSpec, RepVector, rep_vector, weight_component_indices,
@@ -146,28 +146,21 @@ def enumerate_labels(spec: RepSpec, max_weight_count: int = 20) -> LabelEnumerat
     """Minimum-norm points of all non-empty subsets of the weight set,
     deduplicated after Weyl normalization.
 
-    Refuses weight sets above ``max_weight_count``: the enumeration is
-    exponential and silent sampling would corrupt closure-order reasoning
-    downstream.
+    Nonzero ones are supported on affinely independent subsets, and zero
+    arises iff it does for the whole set.  Refuses weight sets above
+    ``max_weight_count``: the enumeration is exponential and silent sampling
+    would corrupt closure-order reasoning downstream.
     """
     distinct = sorted(set(weights_of(spec)))
     if len(distinct) > max_weight_count:
         raise ValueError(f"{len(distinct)} distinct weights exceed the cap "
                          f"{max_weight_count}; raise max_weight_count explicitly "
-                         "to enumerate 2^k subsets")
-    found: set[RationalVector] = set()
-    zero = False
-    k = len(distinct)
-    for mask in range(1, 1 << k):
-        subset = [distinct[i] for i in range(k) if mask >> i & 1]
-        cert = min_norm_point(subset)
-        if cert.is_zero:
-            zero = True
-        else:
-            found.add(weyl_normalize(to_rational_vector(cert.eta)))
+                         "to enumerate their subsets")
+    found = {weyl_normalize(eta) for eta in _feasible_affine_minimizers(distinct) if any(eta)}
     labels = [HesselinkLabel.from_eta(eta) for eta in found]
     labels.sort(key=lambda lab: (-lab.q, lab.eta))
-    return LabelEnumeration(labels=tuple(labels), zero_label=zero)
+    return LabelEnumeration(labels=tuple(labels),
+                            zero_label=min_norm_point(distinct).is_zero)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ Two independent routes are provided:
   entirely in rational arithmetic, returning a certificate (barycentric
   coefficients over the support plus the KKT optimality margin) whose
   invariants hold exactly;
-* :func:`min_norm_point_by_enumeration` -- brute force over all affinely
-  independent subsets, kept as the oracle the solver is tested against.
+* :func:`min_norm_point_by_enumeration` -- brute force that visits only the
+  affinely independent subsets, kept as the oracle the solver is tested
+  against; ``hesselink.enumerate_labels`` lists labels with the same walk.
 
 The KKT characterization used throughout: eta is the minimum-norm point of
 conv(P) iff eta lies in the hull and <p, eta> >= <eta, eta> for every p in P.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 __all__ = [
     "MinNormCertificate",
@@ -36,6 +36,16 @@ _MAX_MAJOR_ITERATIONS = 100_000
 def to_rational_vector(v) -> RationalVector:
     """Coerce a sequence of ints/Fractions/strings like '1/2' to Fractions."""
     return tuple(Fraction(x) for x in v)
+
+
+def _points(weights) -> list[RationalVector]:
+    """Sorted distinct rational points of a non-empty, equal-dimension set."""
+    pts = sorted({to_rational_vector(w) for w in weights})
+    if not pts:
+        raise ValueError("empty weight set")
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ValueError("weights of mixed dimensions")
+    return pts
 
 
 def _dot(a: RationalVector, b: RationalVector) -> Fraction:
@@ -135,14 +145,7 @@ def min_norm_point(weights) -> MinNormCertificate:
     coerced with Fraction).  Entering ties are broken by the
     lexicographically smallest weight, so the run is deterministic.
     """
-    pts_all = [to_rational_vector(w) for w in weights]
-    if not pts_all:
-        raise ValueError("empty weight set")
-    dim = len(pts_all[0])
-    for p in pts_all:
-        if len(p) != dim:
-            raise ValueError("weights of mixed dimensions")
-    pts = sorted(set(pts_all))
+    pts = _points(weights)
 
     # initial corral: the smallest-norm point, lexicographic tie-break
     start = min(pts, key=lambda p: (_dot(p, p), p))
@@ -186,6 +189,26 @@ def min_norm_point(weights) -> MinNormCertificate:
                               optimality_margin=margin)
 
 
+def _feasible_affine_minimizers(weights):
+    """Yield the affine-hull minimizer of every affinely independent subset
+    whose barycentric coordinates are all >= 0 (it is then the minimum-norm
+    point of the subset's hull).  A dependent subset is not grown further:
+    all its supersets are dependent too."""
+    pts = _points(weights)
+
+    def grow(subset: list[RationalVector], start: int):
+        for i in range(start, len(pts)):
+            ext = subset + [pts[i]]
+            res = _affine_min_norm(ext)
+            if res is None:
+                continue
+            if all(m >= 0 for m in res[1]):
+                yield res[0]
+            yield from grow(ext, i + 1)
+
+    yield from grow([], 0)
+
+
 def min_norm_point_by_enumeration(weights) -> tuple[RationalVector, Fraction]:
     """Brute-force oracle: best feasible affine-subset minimizer.
 
@@ -194,20 +217,5 @@ def min_norm_point_by_enumeration(weights) -> tuple[RationalVector, Fraction]:
     barycentric coordinates, and returns the minimum-norm candidate.  Only
     meant for small weight sets.
     """
-    pts = sorted({to_rational_vector(w) for w in weights})
-    if not pts:
-        raise ValueError("empty weight set")
-    best: tuple[Fraction, RationalVector] | None = None
-    for size in range(1, len(pts) + 1):
-        for subset in combinations(pts, size):
-            res = _affine_min_norm(list(subset))
-            if res is None:
-                continue
-            y, mu = res
-            if any(m < 0 for m in mu):
-                continue
-            q = _dot(y, y)
-            if best is None or q < best[0]:
-                best = (q, y)
-    assert best is not None  # singletons are always feasible
-    return best[1], best[0]
+    q, eta = min((_dot(y, y), y) for y in _feasible_affine_minimizers(weights))
+    return eta, q

@@ -50,7 +50,6 @@ class TranslatedMoment:
     """Moment map after translating the background metric by h."""
 
     matrix: np.ndarray
-    in_Ad_h_p: bool
 
 
 class RepAction:
@@ -66,7 +65,9 @@ class RepAction:
         d = spec.dim
         stack = np.zeros((ctx.dim_p, d, d))
         basis = np.eye(d)
-        for k in range(ctx.dim_p):
+        # only the diagonal prefix of the p-basis acts on a torus module
+        acting = ctx.a_dim if spec.family == TORUS_WEIGHTS else ctx.dim_p
+        for k in range(acting):
             b = ctx.p_basis[k]
             for col in range(d):
                 stack[k, :, col] = apply_lie(spec, b, rep_vector(spec, basis[col])).coords
@@ -180,13 +181,7 @@ def translated_moment(ctx: CartanContext, spec: RepSpec, h, v: RepVector) -> Tra
         raise ValueError("singular translation element") from exc
     w = apply_group(spec, hinv, v)
     m = moment(ctx, spec, w).matrix
-    out = h @ m @ hinv
-    back = hinv @ out @ h
-    scale = max(1.0, float(np.abs(back).max()))
-    in_p = bool(np.abs(back - back.T).max() <= 1e-10 * scale)
-    if ctx.group == "SL":
-        in_p = in_p and abs(np.trace(back)) <= 1e-10 * scale
-    return TranslatedMoment(matrix=out, in_Ad_h_p=in_p)
+    return TranslatedMoment(matrix=h @ m @ hinv)
 
 
 def criticality_residual(ctx: CartanContext, spec: RepSpec, v: RepVector) -> float:

@@ -155,6 +155,9 @@ class RepVector:
         if c.shape != (self.spec.dim,):
             raise ValueError(f"expected {self.spec.dim} coordinates for "
                              f"{self.spec.family} (n={self.spec.n}), got shape {c.shape}")
+        if not np.isfinite(c).all():
+            bad = np.flatnonzero(~np.isfinite(c))[0]
+            raise ValueError(f"coordinates must be finite; coordinate {bad} is {c[bad]}")
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 

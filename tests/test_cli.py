@@ -151,6 +151,23 @@ def test_torus_weights_via_flag(capsys):
     assert doc["eta"] == ["1/2", "1/2"]
 
 
+def test_torus_weights_moment_and_flow(capsys):
+    code, doc = _capture_json(capsys, [
+        "moment", "--weights", "[[1,0],[0,1]]", "--vector", "[1,1]"])
+    assert code == 0
+    assert doc["matrix"] == [[0.5, 0.0], [0.0, 0.5]]
+    code, doc = _capture_json(capsys, [
+        "moment", "--weights", "[[1,0],[0,1]]", "--vector", "[1,2]", "--group", "SL"])
+    assert code == 0
+    assert abs(doc["matrix"][0][0] + doc["matrix"][1][1]) <= 1e-12
+    assert doc["matrix"][0][0] < 0
+    code, doc = _capture_json(capsys, [
+        "flow", "--weights", "[[1,0],[0,1],[-1,2]]", "--vector", "[1,1,1]",
+        "--format", "json"])
+    assert code == 0
+    assert doc["converged"] is True
+
+
 def test_config_file_overridden_by_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("t_max=1.0\nresidual_tol=1e-6\n# comment\n")
@@ -178,6 +195,14 @@ def test_computation_errors_exit_1(capsys):
     assert code == 1
     code = run(["label", "--family", "nosuch", "--n", "2", "--vector", "[1,0]"])
     assert code == 1
+
+
+def test_non_finite_vector_exit_1(capsys):
+    for argv in (["moment", "--family", "standard", "--n", "3", "--vector", '[0,1,"nan"]'],
+                 ["label", "--family", "standard", "--n", "3", "--vector", '[0,1,"inf"]']):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "coordinates must be finite; coordinate 2 is" in err
 
 
 def test_bad_config_exit_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from momentflow import (FlowParams, SpdMetric, adjoint, adjoint_from_matrix,
                         apply_group, brackets, build_context,
                         coupled_group_flow, criticality_residual,
                         flow_trajectory_csv, gradient_flow, metric_flow,
-                        rep_vector, standard, verify_flow_equivalence)
+                        optimal_class, rep_vector, standard, torus_weights,
+                        verify_flow_equivalence)
 from momentflow.bracket import bracket_preset
 from momentflow.minnorm import min_norm_point
 
@@ -48,6 +51,19 @@ def test_mixed_nilpotent_limit_spectrum():
     res = gradient_flow(ctx, spec, v)
     assert res.converged
     assert np.abs(res.limit_moment.spectrum - expected).max() <= 1e-5
+
+
+def test_torus_weights_flow_limit_is_label():
+    # for a torus module the flow limit moment is the exact min-norm point of
+    # the state hull, with no choice of optimal torus involved
+    spec = torus_weights([(1, 0, 0), (0, 1, 0), (-1, -1, 2), (2, -1, 0)])
+    v = rep_vector(spec, [1.0, 2.0, 0.5, 1.0])
+    label = optimal_class(spec, v)
+    assert label.eta == (Fraction(6, 17), Fraction(4, 17), Fraction(4, 17))
+    res = gradient_flow(build_context(3, "GL"), spec, v)
+    assert res.converged
+    expected = np.array([float(x) for x in label.eta])
+    assert np.abs(res.limit_moment.spectrum - expected).max() <= 1e-6
 
 
 def test_energy_monotone_and_limit_critical():

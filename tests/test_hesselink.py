@@ -1,14 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentflow import (MINUS_INFINITY, adjoint, adjoint_from_matrix,
                         brackets, build_context, cochar_gram_check, dual,
-                        enumerate_labels, instability_measure,
+                        enumerate_labels, instability_measure, jordan_label,
                         kn_label_via_flow, label_from_json, label_to_json,
-                        optimal_class, project_to_sl, rep_vector, standard,
-                        state_of, stratum_membership)
+                        lambda2, optimal_class, partitions, project_to_sl,
+                        rep_vector, standard, state_of, stratum_membership,
+                        torus_weights, weights_of, weyl_normalize)
 from momentflow.bracket import bracket_preset
 from momentflow.hesselink import HesselinkLabel
 from momentflow.minnorm import min_norm_point
@@ -127,6 +131,54 @@ def test_enumerate_labels_cap():
     enum = enumerate_labels(adjoint(3))  # 7 distinct weights
     assert enum.zero_label
     assert (F(1), F(0), F(-1)) in {lab.eta for lab in enum.labels}
+
+
+def _subset_reference(spec):
+    """Weyl-normalized Wolfe minimizers of every non-empty subset of the
+    distinct weights, and whether zero is among them."""
+    distinct = sorted(set(weights_of(spec)))
+    etas, zero = set(), False
+    for size in range(1, len(distinct) + 1):
+        for subset in combinations(distinct, size):
+            cert = min_norm_point(subset)
+            if cert.is_zero:
+                zero = True
+            else:
+                etas.add(weyl_normalize(cert.eta))
+    return etas, zero
+
+
+def _assert_matches_subset_reference(spec):
+    enum = enumerate_labels(spec)
+    etas, zero = _subset_reference(spec)
+    assert [lab.eta for lab in enum.labels] == sorted(
+        etas, key=lambda eta: (-sum(x * x for x in eta), eta))
+    assert enum.zero_label == zero
+
+
+@pytest.mark.parametrize("spec", [standard(3), dual(3), adjoint(2), adjoint(3),
+                                  lambda2(4), brackets(3)],
+                         ids=lambda spec: f"{spec.family}{spec.n}")
+def test_enumerate_labels_matches_subset_reference(spec):
+    _assert_matches_subset_reference(spec)
+
+
+_torus_modules = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=8))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_torus_modules)
+def test_enumerate_labels_matches_subset_reference_on_torus_modules(weights):
+    _assert_matches_subset_reference(torus_weights(weights))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_enumerate_labels_contains_jordan_labels(n):
+    etas = {lab.eta for lab in enumerate_labels(adjoint(n)).labels}
+    for p in partitions(n):
+        if max(p.parts) > 1:
+            assert jordan_label(p).label.eta in etas
 
 
 def test_stratum_membership_examples():

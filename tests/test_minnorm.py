@@ -67,6 +67,9 @@ def test_empty_input_rejected():
 def test_mixed_dimensions_rejected():
     with pytest.raises(ValueError):
         min_norm_point([(1, 0), (1, 0, 0)])
+    # zip would silently truncate (1, 0) against (1,)
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        min_norm_point_by_enumeration([(1, 0), (1,)])
 
 
 def test_solve_exact_simple():

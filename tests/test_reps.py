@@ -222,3 +222,11 @@ def test_vector_json_round_trip(rng):
 def test_rep_vector_length_checked():
     with pytest.raises(ValueError):
         rep_vector(adjoint(2), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rep_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite; coordinate 2"):
+        rep_vector(standard(3), [0.0, 1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        rep_vector(torus_weights([(1, 0), (0, 1)]), [bad, 1.0])
