@@ -20,7 +20,8 @@ import numpy as np
 
 from .cartan import CartanContext
 from .momentmap import MomentValue, criticality_residual, moment
-from .reps import RepVector, brackets_from_tensor, brackets_tensor
+from .reps import (RepVector, _brackets_coords_raw, _brackets_tensor_raw,
+                   brackets_from_tensor, brackets_tensor)
 
 __all__ = [
     "BracketTensor",
@@ -59,14 +60,7 @@ class BracketTensor:
     @property
     def tensor(self) -> np.ndarray:
         """Full antisymmetrized tensor T[l, i, j] = mu(e_i, e_j)_l."""
-        t = np.zeros((self.n, self.n, self.n))
-        p = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                t[:, i, j] = self.c[p]
-                t[:, j, i] = -self.c[p]
-                p += 1
-        return t
+        return _brackets_tensor_raw(self.c, self.n)
 
     def mu(self, x, y) -> np.ndarray:
         """Evaluate mu(x, y)."""
@@ -90,13 +84,8 @@ class BracketTensor:
 
     @classmethod
     def from_rep_vector(cls, v: RepVector) -> "BracketTensor":
-        t = brackets_tensor(v)
-        n = t.shape[0]
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows.append(t[:, i, j])
-        return cls(n=n, c=np.stack(rows))
+        n = v.spec.n
+        return cls(n=n, c=_brackets_coords_raw(brackets_tensor(v), n).reshape(-1, n))
 
 
 def bracket_preset(name: str, n: int) -> BracketTensor:

@@ -175,6 +175,12 @@ def spd_sqrt(s) -> np.ndarray:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("expected a square matrix")
     _check_symmetric(s, "spd_sqrt input")
+    return _spd_root(s)
+
+
+def _spd_root(s: np.ndarray) -> np.ndarray:
+    """:func:`spd_sqrt` of a float matrix already known to be symmetric;
+    only positivity is checked."""
     w, q = np.linalg.eigh(s)
     if w[0] <= 0.0:
         raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:g})")

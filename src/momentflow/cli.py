@@ -196,8 +196,10 @@ def _cmd_flow(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _random_well_conditioned(n: int, seed: int) -> np.ndarray:
+def _random_well_conditioned(n: int, seed: int, diagonal: bool = False) -> np.ndarray:
     rng = np.random.default_rng(seed)
+    if diagonal:  # torus modules are only acted on by diagonal matrices
+        return np.diag(rng.uniform(0.5, 2.0, n))
     q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ q2
@@ -210,7 +212,7 @@ def _cmd_verify_flows(args, cfg: CliConfig) -> int:
     if args.h0 is not None:
         h0 = np.asarray(_maybe_file(args.h0), dtype=float)
     else:
-        h0 = _random_well_conditioned(n, cfg.seed)
+        h0 = _random_well_conditioned(n, cfg.seed, vbar.spec.family == TORUS_WEIGHTS)
     report = verify_flow_equivalence(ctx, vbar.spec, vbar, h0, cfg.t_max,
                                      cfg.flow_params(), tol=cfg.match_tol)
     _emit_json({

@@ -5,6 +5,10 @@ All integrations use classical RK4 with step-doubling error control: a step
 is accepted when the full-step vs two-half-steps discrepancy is at most
 1e-10 per unit of block scale, halved otherwise, and the step grows by 1.5x
 after ten consecutive accepts.  The two-half-step state is the one kept.
+The full and the first half step share the stage f(y), so an attempted
+step costs 11 right-hand-side evaluations.  Inputs are validated once, at
+entry (``apply_group`` rejects a singular h0 and warns above condition
+number 1e12); right-hand sides run the unchecked kernels on plain arrays.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import CartanContext, spd_sqrt
-from .momentmap import MomentValue, moment, rep_action
-from .reps import RepSpec, RepVector, apply_group, rep_vector
+from .cartan import CartanContext, _spd_root
+from .momentmap import MomentValue, _moment_matrix, moment, rep_action
+from .reps import RepSpec, RepVector, _act, _invert, apply_group, rep_vector
 
 __all__ = [
     "FlowParams",
@@ -105,8 +109,7 @@ class EquivalenceReport:
     tol: float = 1e-6
 
 
-def _rk4(f, y, h):
-    k1 = f(y)
+def _rk4(f, y, h, k1):
     k2 = f(y + (0.5 * h) * k1)
     k3 = f(y + (0.5 * h) * k2)
     k4 = f(y + h * k3)
@@ -123,7 +126,11 @@ def _block_error(full, half, y, blocks):
 
 def _integrate(f, y0, params: FlowParams, blocks, on_accept, should_stop=None,
                postprocess=None):
-    """Shared adaptive driver.  Returns (t, y, status, steps)."""
+    """Shared adaptive driver.  Returns (t, y, status, steps).
+
+    ``should_stop(y)`` is called once on the initial state and then right
+    after each ``on_accept(t, y)``, on the same state.
+    """
     t = 0.0
     y = np.asarray(y0, dtype=float).copy()
     if should_stop is not None and should_stop(y):
@@ -134,9 +141,10 @@ def _integrate(f, y0, params: FlowParams, blocks, on_accept, should_stop=None,
     horizon = params.t_max * (1.0 - 1e-12)
     while t < horizon and steps < params.max_steps:
         dt = min(dt, params.t_max - t)
-        full = _rk4(f, y, dt)
-        mid = _rk4(f, y, 0.5 * dt)
-        half = _rk4(f, mid, 0.5 * dt)
+        k1 = f(y)
+        full = _rk4(f, y, dt, k1)
+        mid = _rk4(f, y, 0.5 * dt, k1)
+        half = _rk4(f, mid, 0.5 * dt, f(mid))
         if _block_error(full, half, y, blocks) <= LOCAL_ERROR_TOL:
             y = half if postprocess is None else postprocess(half)
             t += dt
@@ -200,7 +208,8 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
         counter["k"] += 1
 
     def stop(y):
-        return stats(y)[1] <= params.residual_tol
+        # the driver calls this right after record(t, y) on the same state
+        return residual_trace[-1][1] <= params.residual_tol
 
     def post(y):
         return y / np.linalg.norm(y) if params.renormalize else y
@@ -248,8 +257,7 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
         c = y[:d]
         h = y[d:].reshape(n, n)
         coeff, grad = act.moment_and_gradient(c)
-        m = np.tensordot(coeff, ctx.p_basis, axes=1)
-        return np.concatenate([-grad, -(m @ h).reshape(-1)])
+        return np.concatenate([-grad, -(_moment_matrix(ctx, coeff) @ h).reshape(-1)])
 
     v_samples: list = []
     h_samples: list = []
@@ -270,12 +278,16 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
     return CoupledFlowResult(v_samples=v_samples, h_samples=h_samples, status=status)
 
 
-def _metric_velocity(ctx, spec, vbar, s):
-    """S' = -(M^T S + S M) with M = h^{-1} m(rho(h) vbar) h, h = sqrt(S)."""
+def _rho(spec, h, c):
+    return _act(spec, h, np.linalg.inv(h), c)
+
+
+def _metric_velocity(ctx, act, vbar, s):
+    """S' = -(M^T S + S M) with M = h^{-1} m(rho(h) vbar) h, h = sqrt(S);
+    ``vbar`` is a coordinate array."""
     s = 0.5 * (s + s.T)
-    h = spd_sqrt(s)
-    w = apply_group(spec, h, vbar)
-    m = moment(ctx, spec, w).matrix
+    h = _spd_root(s)
+    m = _moment_matrix(ctx, act.moment_coefficients(_rho(act.spec, h, vbar)))
     big = np.linalg.solve(h, m @ h)
     ds = -(big.T @ s + s @ big)
     return 0.5 * (ds + ds.T)
@@ -293,11 +305,12 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
         params = FlowParams()
     if vbar.norm == 0.0:
         raise ValueError("cannot flow the zero vector")
+    act = rep_action(ctx, spec)
     n = ctx.n
     y0 = s0.S.reshape(-1).copy()
 
     def f(y):
-        return _metric_velocity(ctx, spec, vbar, y.reshape(n, n)).reshape(-1)
+        return _metric_velocity(ctx, act, vbar.coords, y.reshape(n, n)).reshape(-1)
 
     out: list = []
     counter = {"k": 0}
@@ -354,9 +367,9 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
         h = y[d:d + n2].reshape(n, n)
         s = y[d + n2:].reshape(n, n)
         dv = -act.gradient(c)
-        mh = moment(ctx, spec, apply_group(spec, h, vbar)).matrix
+        mh = _moment_matrix(ctx, act.moment_coefficients(_rho(spec, h, vbar.coords)))
         dh = -(mh @ h)
-        ds = _metric_velocity(ctx, spec, vbar, s)
+        ds = _metric_velocity(ctx, act, vbar.coords, s)
         return np.concatenate([dv, dh.reshape(-1), ds.reshape(-1)])
 
     worst = {"v": 0.0, "S": 0.0}
@@ -365,14 +378,15 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
         c = y[:d]
         h = y[d:d + n2].reshape(n, n)
         s = y[d + n2:].reshape(n, n)
-        pred = apply_group(spec, h, vbar).coords
+        pred = _rho(spec, h, vbar.coords)
         dev_v = np.linalg.norm(c - pred) / np.linalg.norm(c)
         dev_s = np.linalg.norm(s - h.T @ h) / np.linalg.norm(s)
         worst["v"] = max(worst["v"], float(dev_v))
         worst["S"] = max(worst["S"], float(dev_s))
 
     record(0.0, y0)
-    _integrate(f, y0, params, blocks, record)
+    _, y, _, _ = _integrate(f, y0, params, blocks, record)
+    _invert(y[d:d + n2].reshape(n, n))  # warns if h(t) ended ill-conditioned
     return EquivalenceReport(max_dev_v=worst["v"], max_dev_S=worst["S"],
                              passed=bool(worst["v"] <= tol and worst["S"] <= tol),
                              tol=tol)

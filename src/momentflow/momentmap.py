@@ -107,9 +107,15 @@ def rep_action(ctx: CartanContext, spec: RepSpec) -> RepAction:
     return RepAction(ctx, spec)
 
 
+def _moment_matrix(ctx: CartanContext, coeff: np.ndarray) -> np.ndarray:
+    """The symmetrized matrix sum_k coeff[k] B_k, without its spectrum."""
+    n = ctx.n
+    mat = (coeff @ ctx.p_basis.reshape(ctx.dim_p, n * n)).reshape(n, n)
+    return 0.5 * (mat + mat.T)
+
+
 def _moment_value(ctx: CartanContext, coeff: np.ndarray) -> MomentValue:
-    mat = np.tensordot(coeff, ctx.p_basis, axes=1)
-    mat = 0.5 * (mat + mat.T)
+    mat = _moment_matrix(ctx, coeff)
     mat.flags.writeable = False
     return MomentValue(matrix=mat,
                        energy=float(coeff @ coeff),

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,22 +194,31 @@ def adjoint_from_matrix(x) -> RepVector:
     return RepVector(adjoint(n), x.reshape(-1))
 
 
+@lru_cache(maxsize=None)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of ``_pairs(n)``: np.triu_indices(n, 1), built without
+    it because its first call raises peak RSS by ~0.25 MB."""
+    return tuple(np.array(_pairs(n), dtype=np.intp).reshape(-1, 2).T)
+
+
+def _lambda2_matrix(coords: np.ndarray, n: int) -> np.ndarray:
+    iu, ju = _triu(n)
+    a = np.zeros((n, n))
+    a[iu, ju] = coords
+    a[ju, iu] = -coords
+    return a
+
+
 def lambda2_to_matrix(v: RepVector) -> np.ndarray:
     if v.spec.family != LAMBDA2:
         raise ValueError("not a Lambda2 vector")
-    n = v.spec.n
-    a = np.zeros((n, n))
-    for idx, (i, j) in enumerate(_pairs(n)):
-        a[i, j] = v.coords[idx]
-        a[j, i] = -v.coords[idx]
-    return a
+    return _lambda2_matrix(v.coords, v.spec.n)
 
 
 def lambda2_from_matrix(a) -> RepVector:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    coords = np.array([a[i, j] for (i, j) in _pairs(n)])
-    return RepVector(lambda2(n), coords)
+    return RepVector(lambda2(n), a[_triu(n)])
 
 
 def lambda2_embed(x, y) -> RepVector:
@@ -226,36 +236,29 @@ def brackets_tensor(v: RepVector) -> np.ndarray:
     """
     if v.spec.family != BRACKETS:
         raise ValueError("not a Brackets vector")
-    n = v.spec.n
-    c = v.coords.reshape(-1, n) / SQRT2
-    t = np.zeros((n, n, n))
-    for idx, (i, j) in enumerate(_pairs(n)):
-        t[:, i, j] = c[idx]
-        t[:, j, i] = -c[idx]
-    return t
+    return _brackets_tensor_raw(v.coords / SQRT2, v.spec.n)
 
 
 def brackets_from_tensor(t) -> RepVector:
     t = np.asarray(t, dtype=float)
     n = t.shape[0]
-    rows = [t[:, i, j] for (i, j) in _pairs(n)]
-    return RepVector(brackets(n), SQRT2 * np.concatenate(rows))
+    return RepVector(brackets(n), SQRT2 * _brackets_coords_raw(t, n))
 
 
 def _brackets_tensor_raw(coords: np.ndarray, n: int) -> np.ndarray:
     # tensor in coordinate scale (sqrt(2) factor left in place); the group
     # and Lie actions are linear, so skipping the scale round-trip keeps
     # exact inputs exact
-    c = coords.reshape(-1, n)
+    iu, ju = _triu(n)
+    c = coords.reshape(-1, n).T
     t = np.zeros((n, n, n))
-    for idx, (i, j) in enumerate(_pairs(n)):
-        t[:, i, j] = c[idx]
-        t[:, j, i] = -c[idx]
+    t[:, iu, ju] = c
+    t[:, ju, iu] = -c
     return t
 
 
 def _brackets_coords_raw(t: np.ndarray, n: int) -> np.ndarray:
-    return np.concatenate([t[:, i, j] for (i, j) in _pairs(n)])
+    return t[(slice(None),) + _triu(n)].T.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,42 +291,45 @@ def _invert(g: np.ndarray) -> np.ndarray:
     return ginv
 
 
+def _act(spec: RepSpec, g: np.ndarray, ginv: np.ndarray | None, c: np.ndarray) -> np.ndarray:
+    """rho(g) on raw coordinates, with no checks: g is a square float array,
+    ginv its inverse (unused for TorusWeights, where g must be diagonal)."""
+    fam = spec.family
+    n = spec.n
+    if fam == STANDARD:
+        return g @ c
+    if fam == DUAL:
+        return ginv.T @ c
+    if fam == ADJOINT:
+        return (g @ c.reshape(n, n) @ ginv).reshape(-1)
+    if fam == LAMBDA2:
+        return (g @ _lambda2_matrix(c, n) @ g.T)[_triu(n)]
+    if fam == BRACKETS:
+        t = np.einsum("lm,mab,ai,bj->lij", g, _brackets_tensor_raw(c, n), ginv, ginv)
+        return _brackets_coords_raw(t, n)
+    chi = np.array(spec.weights, dtype=float)
+    return np.prod(np.diagonal(g)[None, :] ** chi, axis=1) * c
+
+
 def apply_group(spec: RepSpec, g, v: RepVector) -> RepVector:
     """Apply rho(g) to v.
 
-    Raises ValueError for singular g, and for a non-diagonal g on a
-    TorusWeights family.  A condition number above 1e12 triggers a warning.
+    Validates, then calls the unchecked kernel ``_act``: raises ValueError
+    for a vector of another spec, a non-square or singular g, and a
+    non-diagonal g on a TorusWeights family; a condition number above 1e12
+    triggers a warning.  Flows validate their group element once at entry
+    and run ``_act`` inside the integrator.
     """
     if v.spec != spec:
         raise ValueError("vector does not belong to spec")
     g = _check_square(g, spec.n, "g")
-    c = v.coords
-    fam = spec.family
-
-    if fam == TORUS_WEIGHTS:
-        d = _diagonal_or_raise(g, "g")
-        if np.any(d == 0.0):
+    if spec.family == TORUS_WEIGHTS:
+        if np.any(_diagonal_or_raise(g, "g") == 0.0):
             raise ValueError("singular group element")
-        chi = np.array(spec.weights, dtype=float)
-        factors = np.prod(d[None, :] ** chi, axis=1)
-        return RepVector(spec, factors * c)
-
-    ginv = _invert(g)
-    if fam == STANDARD:
-        out = g @ c
-    elif fam == DUAL:
-        out = ginv.T @ c
-    elif fam == ADJOINT:
-        n = spec.n
-        out = (g @ c.reshape(n, n) @ ginv).reshape(-1)
-    elif fam == LAMBDA2:
-        a = lambda2_to_matrix(v)
-        return lambda2_from_matrix(g @ a @ g.T)
-    else:  # BRACKETS
-        t = _brackets_tensor_raw(c, spec.n)
-        t = np.einsum("lm,mab,ai,bj->lij", g, t, ginv, ginv)
-        out = _brackets_coords_raw(t, spec.n)
-    return RepVector(spec, out)
+        ginv = None
+    else:
+        ginv = _invert(g)
+    return RepVector(spec, _act(spec, g, ginv, v.coords))
 
 
 def apply_lie(spec: RepSpec, x, v: RepVector) -> RepVector:

@@ -211,3 +211,21 @@ def test_bad_config_exit_2(tmp_path, capsys):
     code = run(["flow", "--family", "standard", "--n", "2", "--vector", "[1,0]",
                 "--config", str(cfg)])
     assert code == 2
+
+
+def test_verify_flows_torus_module(capsys):
+    # the seeded h0 of a torus module is diagonal, so the check runs
+    argv = ["verify-flows", "--weights", "[[1,0],[0,1],[-1,2]]", "--vector", "[1,1,1]",
+            "--t-max", "1"]
+    code, doc = _capture_json(capsys, argv)
+    assert code == 0
+    assert doc["passed"] is True
+    assert doc["h0"][0][1] == doc["h0"][1][0] == 0.0
+
+
+def test_verify_flows_torus_rejects_non_diagonal_h0(capsys):
+    code = run(["verify-flows", "--weights", "[[1,0],[0,1],[-1,2]]", "--vector", "[1,1,1]",
+                "--t-max", "1", "--h0", "[[1,0.5],[0,1]]"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "TorusWeights only acts through diagonal matrices; g is not diagonal" in err

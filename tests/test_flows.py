@@ -249,3 +249,75 @@ def test_trajectory_csv_shape():
     assert abs(float(first[1]) - 1.0) <= 1e-12
     # renormalized start: (3,4)/5
     assert abs(float(first[3]) - 0.6) <= 1e-15
+
+
+def test_attempted_step_costs_eleven_evaluations(monkeypatch):
+    # y' = -y from a first step far too large for the error target, so the
+    # count covers rejected as well as accepted steps
+    from momentflow import flows
+    attempts = {"n": 0}
+    block_error = flows._block_error
+
+    def counting_block_error(*args):
+        attempts["n"] += 1  # called exactly once per attempted step
+        return block_error(*args)
+
+    monkeypatch.setattr(flows, "_block_error", counting_block_error)
+    evals = {"n": 0}
+
+    def f(y):
+        evals["n"] += 1
+        return -y
+
+    t, y, status, steps = flows._integrate(f, np.array([1.0]), FlowParams(dt0=1.0, t_max=2.0),
+                                           [slice(None)], lambda t, y: None)
+    assert status == "t_max" and abs(y[0] - np.exp(-2.0)) <= 1e-9
+    assert attempts["n"] > steps > 0
+    assert evals["n"] == 11 * attempts["n"]
+
+
+def test_singular_h0_rejected_before_integrating(monkeypatch):
+    from momentflow import flows
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(flows, "_integrate", no_integration)
+    ctx = build_context(2, "GL")
+    vbar = adjoint_from_matrix(_e(2, 0, 1))
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(ValueError, match="singular"):
+        verify_flow_equivalence(ctx, vbar.spec, vbar, singular, 1.0)
+    with pytest.raises(ValueError):
+        coupled_group_flow(ctx, vbar.spec, vbar, singular)
+
+
+def test_ill_conditioned_h0_warns_at_entry_and_exit_only():
+    # validation sits at the API boundary: one warning for h0 and at most
+    # one for the final h(t), not one per right-hand-side evaluation
+    import warnings
+    ctx = build_context(2, "GL")
+    spec = standard(2)
+    vbar = rep_vector(spec, [1.0, 1.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = verify_flow_equivalence(ctx, spec, vbar, np.diag([1.0, 1e-13]), 1.0)
+    messages = [str(w.message) for w in caught]
+    assert 1 <= len(messages) <= 2
+    assert all("condition number" in m for m in messages)
+    assert messages[0].startswith("group element has condition number 1e+13")
+    assert rep.passed
+
+
+def test_verify_flow_equivalence_torus_module():
+    # torus modules are only acted on by diagonal matrices, and the group
+    # and metric flows keep a diagonal h0 diagonal
+    spec = torus_weights([(1, 0, 0), (0, 1, 0), (-1, -1, 2), (2, -1, 0)])
+    vbar = rep_vector(spec, [1.0, 2.0, 0.5, 1.0])
+    h0 = np.diag([1.5, 0.7, 1.2])
+    for group in ("GL", "SL"):
+        rep = verify_flow_equivalence(build_context(3, group), spec, vbar, h0, 5.0)
+        assert rep.passed, (group, rep)
+    with pytest.raises(ValueError, match="not diagonal"):
+        verify_flow_equivalence(build_context(3, "GL"), spec, vbar,
+                                h0 + 0.1 * _e(3, 0, 1), 1.0)

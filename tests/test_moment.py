@@ -283,3 +283,16 @@ def test_moment_value_invariants(rng):
         assert np.abs(mv.matrix - mv.matrix.T).max() <= 1e-12
         assert abs(mv.energy - np.trace(mv.matrix @ mv.matrix)) <= 1e-12 * max(1.0, mv.energy)
         assert all(mv.spectrum[i] >= mv.spectrum[i + 1] for i in range(len(mv.spectrum) - 1))
+
+
+@pytest.mark.parametrize("group", ["GL", "SL"])
+def test_moment_matrix_kernel_equals_moment(rng, group):
+    # the flows' right-hand sides build m(v) with _moment_matrix alone; it
+    # must be the matrix that moment() reports, bit for bit
+    from momentflow.momentmap import _moment_matrix, rep_action
+    ctx = build_context(3, group)
+    torus = torus_weights([(1, 0, 0), (0, 1, 0), (-1, -1, 2), (2, -1, 0)])
+    for spec in matrix_families(3) + [torus]:
+        v = random_vector(rng, spec)
+        c = rep_action(ctx, spec).moment_coefficients(v.coords)
+        assert np.array_equal(_moment_matrix(ctx, c), moment(ctx, spec, v).matrix)

@@ -7,7 +7,7 @@ from momentflow import (adjoint, adjoint_from_matrix, apply_group, apply_lie,
                         lambda2_to_matrix, rep_dim, rep_vector, standard,
                         torus_weights, vector_from_json, vector_to_json,
                         weight_components, weights_of)
-from momentflow.bracket import bracket_preset
+from momentflow.bracket import BracketTensor, bracket_preset
 
 from conftest import matrix_families, random_orthogonal, random_vector, random_well_conditioned
 
@@ -230,3 +230,41 @@ def test_rep_vector_rejects_non_finite(bad):
         rep_vector(standard(3), [0.0, 1.0, bad])
     with pytest.raises(ValueError, match="finite"):
         rep_vector(torus_weights([(1, 0), (0, 1)]), [bad, 1.0])
+
+
+def test_act_kernel_equals_apply_group(rng):
+    # the flows' right-hand sides run _act directly; it must be the same
+    # arithmetic as the validated entry point, bit for bit
+    from momentflow.reps import _act
+    torus = torus_weights([(1, 0, 0), (0, 1, 0), (-1, -1, 2), (2, -1, 0)])
+    for _ in range(5):
+        cases = [(spec, random_well_conditioned(rng, 3)) for spec in matrix_families(3)]
+        for spec, g in cases + [(torus, np.diag(rng.uniform(0.5, 2.0, 3)))]:
+            v = random_vector(rng, spec)
+            assert np.array_equal(_act(spec, g, np.linalg.inv(g), v.coords),
+                                  apply_group(spec, g, v).coords), spec.family
+
+
+def test_pair_bridges_match_pair_loops(rng):
+    # reference: the coordinate orders of the module docstring, written out
+    # as explicit loops over the pairs i < j
+    from momentflow.reps import brackets_from_tensor, brackets_tensor, lambda2_from_matrix
+    n = 4
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    v = random_vector(rng, lambda2(n))
+    a = np.zeros((n, n))
+    for idx, (i, j) in enumerate(pairs):
+        a[i, j], a[j, i] = v.coords[idx], -v.coords[idx]
+    assert np.array_equal(lambda2_to_matrix(v), a)
+    assert np.array_equal(lambda2_from_matrix(a).coords, v.coords)
+    mu = random_vector(rng, brackets(n))
+    c = mu.coords.reshape(-1, n) / np.sqrt(2.0)
+    t = np.zeros((n, n, n))
+    for idx, (i, j) in enumerate(pairs):
+        t[:, i, j], t[:, j, i] = c[idx], -c[idx]
+    assert np.array_equal(brackets_tensor(mu), t)
+    back = np.sqrt(2.0) * np.concatenate([t[:, i, j] for (i, j) in pairs])
+    assert np.array_equal(brackets_from_tensor(t).coords, back)
+    bt = BracketTensor.from_rep_vector(mu)
+    assert np.array_equal(bt.c, np.stack([t[:, i, j] for (i, j) in pairs]))
+    assert np.array_equal(bt.tensor, t)
