@@ -19,7 +19,8 @@ import numpy as np
 
 from .cartan import CartanContext, _spd_root
 from .momentmap import MomentValue, _moment_matrix, moment, rep_action
-from .reps import RepSpec, RepVector, _act, _invert, apply_group, rep_vector
+from .reps import (TORUS_WEIGHTS, RepSpec, RepVector, _act, _diagonal_or_raise, _invert,
+                   apply_group, rep_vector)
 
 __all__ = [
     "FlowParams",
@@ -279,6 +280,10 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
 
 
 def _rho(spec, h, c):
+    """rho(h) c on raw arrays; on a torus module h must stay diagonal."""
+    if spec.family == TORUS_WEIGHTS:
+        _diagonal_or_raise(h, "h")
+        return _act(spec, h, None, c)
     return _act(spec, h, np.linalg.inv(h), c)
 
 
@@ -298,13 +303,16 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     """Integrate the metric flow on positive-definite matrices.
 
     The coset representative is always the SPD square root, which makes the
-    driving term independent of the orthogonal factor.  Positivity is
-    checked at every accepted step; losing it aborts with a FlowError.
+    driving term independent of the orthogonal factor.  vbar and sqrt(S0)
+    pass ``apply_group``'s checks at entry.  Positivity is checked at every
+    accepted step; losing it aborts with a FlowError.
     """
     if params is None:
         params = FlowParams()
     if vbar.norm == 0.0:
         raise ValueError("cannot flow the zero vector")
+    # checks vbar's spec, the condition of sqrt(S0) and, on a torus, its diagonal
+    apply_group(spec, _spd_root(0.5 * (s0.S + s0.S.T)), vbar)
     act = rep_action(ctx, spec)
     n = ctx.n
     y0 = s0.S.reshape(-1).copy()
@@ -326,9 +334,10 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     record(0.0, y0)
     counter["k"] = 1
     t, y, status, _ = _integrate(f, y0, params, [slice(None)], record)
+    s = 0.5 * (y.reshape(n, n) + y.reshape(n, n).T)
+    _invert(_spd_root(s))  # warns if S(t) ended ill-conditioned
     if not out or out[-1][0] != t:
-        s = y.reshape(n, n)
-        out.append((t, SpdMetric(0.5 * (s + s.T))))
+        out.append((t, SpdMetric(s)))
     return out
 
 

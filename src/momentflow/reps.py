@@ -196,9 +196,8 @@ def adjoint_from_matrix(x) -> RepVector:
 
 @lru_cache(maxsize=None)
 def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of ``_pairs(n)``: np.triu_indices(n, 1), built without
-    it because its first call raises peak RSS by ~0.25 MB."""
-    return tuple(np.array(_pairs(n), dtype=np.intp).reshape(-1, 2).T)
+    """Index arrays of ``_pairs(n)``."""
+    return np.triu_indices(n, 1)
 
 
 def _lambda2_matrix(coords: np.ndarray, n: int) -> np.ndarray:

@@ -292,6 +292,39 @@ def test_singular_h0_rejected_before_integrating(monkeypatch):
         coupled_group_flow(ctx, vbar.spec, vbar, singular)
 
 
+def test_metric_flow_validates_at_entry(monkeypatch):
+    # the metric flow checks vbar against the SPD root of S0 once, as
+    # apply_group does, before integrating
+    from momentflow import flows
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(flows, "_integrate", no_integration)
+    torus = torus_weights([(1, 0, 0), (0, 1, 0), (-1, -1, 2), (2, -1, 0)])
+    vbar = rep_vector(torus, [1.0, 2.0, 0.5, 1.0])
+    s0 = SpdMetric(np.eye(3) + 0.1 * (_e(3, 0, 1) + _e(3, 1, 0)))
+    with pytest.raises(ValueError, match="not diagonal"):
+        metric_flow(build_context(3, "GL"), torus, vbar, s0)
+    # adjoint(2) and standard(4) have the same dimension
+    other = adjoint_from_matrix(_e(2, 0, 1))
+    with pytest.raises(ValueError, match="does not belong"):
+        metric_flow(build_context(4, "GL"), standard(4), other, SpdMetric(np.eye(4)))
+
+
+def test_metric_flow_ill_conditioned_s0_warns_at_entry_and_exit_only():
+    import warnings
+    ctx = build_context(2, "GL")
+    spec = standard(2)
+    vbar = rep_vector(spec, [1.0, 1.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        metric_flow(ctx, spec, vbar, SpdMetric(np.diag([1.0, 1e-26])), FlowParams(t_max=1.0))
+    messages = [str(w.message) for w in caught]
+    assert 1 <= len(messages) <= 2
+    assert messages[0].startswith("group element has condition number 1e+13")
+
+
 def test_ill_conditioned_h0_warns_at_entry_and_exit_only():
     # validation sits at the API boundary: one warning for h0 and at most
     # one for the final h(t), not one per right-hand-side evaluation
