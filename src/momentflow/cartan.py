@@ -105,12 +105,6 @@ class CartanContext:
         """Differential of the Cartan involution, X -> -X^T."""
         return -np.asarray(x, dtype=float).T
 
-    def project_p(self, m) -> np.ndarray:
-        """Orthogonal projection of an n x n matrix onto span(p_basis)."""
-        m = np.asarray(m, dtype=float)
-        coeff = np.tensordot(self.p_basis, m, axes=([1, 2], [0, 1]))
-        return np.tensordot(coeff, self.p_basis, axes=1)
-
 
 def build_context(n: int, group: str = "GL") -> CartanContext:
     """Build the Cartan data for GL_n(R) or SL_n(R).

@@ -1,8 +1,11 @@
 """Negative gradient flow, companion group flow, metric flow, and the
 numerical check that the three are the same trajectory in three models.
 
-All integrations use classical RK4 with step-doubling error control: a step
-is accepted when the full-step vs two-half-steps discrepancy is at most
+All integrations run through one driver, ``_integrate``, which alone decides
+which states are sampled and when a run stops; each flow supplies only its
+entry checks, its right-hand side and the mapping from raw states to result
+objects.  The driver uses classical RK4 with step-doubling error control: a
+step is accepted when the full-step vs two-half-steps discrepancy is at most
 1e-10 per unit of block scale, halved otherwise, and the step grows by 1.5x
 after ten consecutive accepts.  The two-half-step state is the one kept.
 The full and the first half step share the stage f(y), so an attempted
@@ -13,12 +16,12 @@ number 1e12); right-hand sides run the unchecked kernels on plain arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cartan import CartanContext, _spd_root
-from .momentmap import MomentValue, _moment_matrix, moment, rep_action
+from .momentmap import MomentValue, _energy_and_residual, _moment_matrix, moment, rep_action
 from .reps import (TORUS_WEIGHTS, RepSpec, RepVector, _act, _diagonal_or_raise, _invert,
                    apply_group, rep_vector)
 
@@ -125,17 +128,20 @@ def _block_error(full, half, y, blocks):
     return worst
 
 
-def _integrate(f, y0, params: FlowParams, blocks, on_accept, should_stop=None,
-               postprocess=None):
-    """Shared adaptive driver.  Returns (t, y, status, steps).
+def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=None):
+    """The adaptive driver shared by all flows.  Returns
+    (t, y, status, steps, samples).
 
-    ``should_stop(y)`` is called once on the initial state and then right
-    after each ``on_accept(t, y)``, on the same state.
+    ``on_state(t, y)`` runs on the initial state and on every accepted
+    state; a true return stops the run as ``converged``.  ``samples`` holds
+    (t, y) at t = 0, after every ``params.sample_stride``-th accepted step,
+    and at the final state exactly once.
     """
     t = 0.0
     y = np.asarray(y0, dtype=float).copy()
-    if should_stop is not None and should_stop(y):
-        return t, y, "converged", 0
+    samples = [(t, y)]
+    if on_state is not None and on_state(t, y):
+        return t, y, "converged", 0, samples
     dt = params.dt0
     steps = 0
     run = 0
@@ -151,9 +157,11 @@ def _integrate(f, y0, params: FlowParams, blocks, on_accept, should_stop=None,
             t += dt
             steps += 1
             run += 1
-            on_accept(t, y)
-            if should_stop is not None and should_stop(y):
-                return t, y, "converged", steps
+            if steps % params.sample_stride == 0:
+                samples.append((t, y))
+            if on_state is not None and on_state(t, y):
+                status = "converged"
+                break
             if run >= ACCEPTS_BEFORE_GROWTH:
                 dt *= GROWTH_FACTOR
                 run = 0
@@ -161,9 +169,13 @@ def _integrate(f, y0, params: FlowParams, blocks, on_accept, should_stop=None,
             dt *= 0.5
             run = 0
             if dt < STEP_UNDERFLOW:
-                return t, y, "dt_underflow", steps
-    status = "max_steps" if steps >= params.max_steps else "t_max"
-    return t, y, status, steps
+                status = "dt_underflow"
+                break
+    else:
+        status = "max_steps" if steps >= params.max_steps else "t_max"
+    if samples[-1][0] != t:
+        samples.append((t, y))
+    return t, y, status, steps, samples
 
 
 def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
@@ -188,41 +200,19 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
     def f(y):
         return -act.gradient(y)
 
-    def stats(y):
-        coeff, grad = act.moment_and_gradient(y)
-        fval = float(coeff @ coeff)
-        nn = float(np.linalg.norm(y))
-        res = float(np.linalg.norm(grad - fval * y)) / nn
-        return fval, res
-
-    samples: list = []
     energy_trace: list = []
     residual_trace: list = []
-    counter = {"k": 0}
 
-    def record(t, y):
-        fval, res = stats(y)
+    def on_state(t, y):
+        fval, res = _energy_and_residual(act, y)
         energy_trace.append((t, fval))
         residual_trace.append((t, res))
-        if counter["k"] % params.sample_stride == 0:
-            samples.append((t, rep_vector(spec, y)))
-        counter["k"] += 1
+        return res <= params.residual_tol
 
-    def stop(y):
-        # the driver calls this right after record(t, y) on the same state
-        return residual_trace[-1][1] <= params.residual_tol
-
-    def post(y):
-        return y / np.linalg.norm(y) if params.renormalize else y
-
-    record(0.0, c0)
-    counter["k"] = 1  # t = 0 always sampled
-    t, y, status, steps = _integrate(f, c0, params, [slice(None)], record,
-                                     should_stop=stop, postprocess=post)
-    if not samples or samples[-1][0] != t:
-        samples.append((t, rep_vector(spec, y)))
+    post = (lambda y: y / np.linalg.norm(y)) if params.renormalize else None
+    _, y, status, steps, states = _integrate(f, c0, params, [slice(None)], on_state, post)
     limit = rep_vector(spec, y / np.linalg.norm(y))
-    return FlowResult(samples=samples,
+    return FlowResult(samples=[(t, rep_vector(spec, y)) for t, y in states],
                       energy_trace=energy_trace,
                       residual_trace=residual_trace,
                       converged=(status == "converged"),
@@ -245,8 +235,6 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
     act = rep_action(ctx, spec)
     n = ctx.n
     h0 = np.asarray(h0, dtype=float)
-    if h0.shape != (n, n) or abs(np.linalg.det(h0)) == 0.0:
-        raise ValueError("h0 must be an invertible n x n matrix")
     v0 = apply_group(spec, h0, vbar)
     if v0.norm == 0.0:
         raise ValueError("cannot flow the zero vector")
@@ -260,23 +248,10 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
         coeff, grad = act.moment_and_gradient(c)
         return np.concatenate([-grad, -(_moment_matrix(ctx, coeff) @ h).reshape(-1)])
 
-    v_samples: list = []
-    h_samples: list = []
-    counter = {"k": 0}
-
-    def record(t, y):
-        if counter["k"] % params.sample_stride == 0:
-            v_samples.append((t, rep_vector(spec, y[:d])))
-            h_samples.append((t, y[d:].reshape(n, n).copy()))
-        counter["k"] += 1
-
-    record(0.0, y0)
-    counter["k"] = 1
-    t, y, status, _ = _integrate(f, y0, params, blocks, record)
-    if not v_samples or v_samples[-1][0] != t:
-        v_samples.append((t, rep_vector(spec, y[:d])))
-        h_samples.append((t, y[d:].reshape(n, n).copy()))
-    return CoupledFlowResult(v_samples=v_samples, h_samples=h_samples, status=status)
+    _, _, status, _, states = _integrate(f, y0, params, blocks)
+    return CoupledFlowResult(v_samples=[(t, rep_vector(spec, y[:d])) for t, y in states],
+                             h_samples=[(t, y[d:].reshape(n, n).copy()) for t, y in states],
+                             status=status)
 
 
 def _rho(spec, h, c):
@@ -287,15 +262,25 @@ def _rho(spec, h, c):
     return _act(spec, h, np.linalg.inv(h), c)
 
 
-def _metric_velocity(ctx, act, vbar, s):
-    """S' = -(M^T S + S M) with M = h^{-1} m(rho(h) vbar) h, h = sqrt(S);
-    ``vbar`` is a coordinate array."""
-    s = 0.5 * (s + s.T)
+def _sym(y, n):
+    """The symmetric part of y read as an n x n matrix."""
+    m = y.reshape(n, n)
+    return 0.5 * (m + m.T)
+
+
+def _moment_at(ctx, act, h, vbar):
+    """m(rho(h) vbar) as a matrix; ``vbar`` is a coordinate array."""
+    return _moment_matrix(ctx, act.moment_coefficients(_rho(act.spec, h, vbar)))
+
+
+def _metric_velocity(ctx, act, vbar, y):
+    """S' = -(M^T S + S M) with M = h^{-1} m(rho(h) vbar) h, h = sqrt(S),
+    on the flattened S; ``vbar`` is a coordinate array."""
+    n = ctx.n
+    s = _sym(y, n)
     h = _spd_root(s)
-    m = _moment_matrix(ctx, act.moment_coefficients(_rho(act.spec, h, vbar)))
-    big = np.linalg.solve(h, m @ h)
-    ds = -(big.T @ s + s @ big)
-    return 0.5 * (ds + ds.T)
+    big = np.linalg.solve(h, _moment_at(ctx, act, h, vbar) @ h)
+    return _sym(-(big.T @ s + s @ big), n).reshape(-1)
 
 
 def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
@@ -311,34 +296,21 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
         params = FlowParams()
     if vbar.norm == 0.0:
         raise ValueError("cannot flow the zero vector")
-    # checks vbar's spec, the condition of sqrt(S0) and, on a torus, its diagonal
-    apply_group(spec, _spd_root(0.5 * (s0.S + s0.S.T)), vbar)
-    act = rep_action(ctx, spec)
     n = ctx.n
-    y0 = s0.S.reshape(-1).copy()
+    # checks vbar's spec, the condition of sqrt(S0) and, on a torus, its diagonal
+    apply_group(spec, _spd_root(_sym(s0.S, n)), vbar)
+    act = rep_action(ctx, spec)
 
     def f(y):
-        return _metric_velocity(ctx, act, vbar.coords, y.reshape(n, n)).reshape(-1)
+        return _metric_velocity(ctx, act, vbar.coords, y)
 
-    out: list = []
-    counter = {"k": 0}
-
-    def record(t, y):
-        s = 0.5 * (y.reshape(n, n) + y.reshape(n, n).T)
-        if np.linalg.eigvalsh(s)[0] <= 0.0:
+    def on_state(t, y):
+        if np.linalg.eigvalsh(_sym(y, n))[0] <= 0.0:
             raise FlowError(f"metric lost positivity at t = {t:.6g}")
-        if counter["k"] % params.sample_stride == 0:
-            out.append((t, SpdMetric(s)))
-        counter["k"] += 1
 
-    record(0.0, y0)
-    counter["k"] = 1
-    t, y, status, _ = _integrate(f, y0, params, [slice(None)], record)
-    s = 0.5 * (y.reshape(n, n) + y.reshape(n, n).T)
-    _invert(_spd_root(s))  # warns if S(t) ended ill-conditioned
-    if not out or out[-1][0] != t:
-        out.append((t, SpdMetric(s)))
-    return out
+    _, y, _, _, states = _integrate(f, s0.S.reshape(-1), params, [slice(None)], on_state)
+    _invert(_spd_root(_sym(y, n)))  # warns if S(t) ended ill-conditioned
+    return [(t, SpdMetric(_sym(y, n))) for t, y in states]
 
 
 def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
@@ -355,11 +327,7 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     """
     if params is None:
         params = FlowParams()
-    params = FlowParams(dt0=params.dt0, t_max=float(t_horizon),
-                        residual_tol=params.residual_tol,
-                        max_steps=params.max_steps,
-                        sample_stride=params.sample_stride,
-                        renormalize=False)
+    params = replace(params, t_max=float(t_horizon), renormalize=False)
     act = rep_action(ctx, spec)
     n = ctx.n
     h0 = np.asarray(h0, dtype=float)
@@ -374,16 +342,14 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     def f(y):
         c = y[:d]
         h = y[d:d + n2].reshape(n, n)
-        s = y[d + n2:].reshape(n, n)
         dv = -act.gradient(c)
-        mh = _moment_matrix(ctx, act.moment_coefficients(_rho(spec, h, vbar.coords)))
-        dh = -(mh @ h)
-        ds = _metric_velocity(ctx, act, vbar.coords, s)
-        return np.concatenate([dv, dh.reshape(-1), ds.reshape(-1)])
+        dh = -(_moment_at(ctx, act, h, vbar.coords) @ h)
+        ds = _metric_velocity(ctx, act, vbar.coords, y[d + n2:])
+        return np.concatenate([dv, dh.reshape(-1), ds])
 
     worst = {"v": 0.0, "S": 0.0}
 
-    def record(t, y):
+    def on_state(t, y):
         c = y[:d]
         h = y[d:d + n2].reshape(n, n)
         s = y[d + n2:].reshape(n, n)
@@ -393,8 +359,7 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
         worst["v"] = max(worst["v"], float(dev_v))
         worst["S"] = max(worst["S"], float(dev_s))
 
-    record(0.0, y0)
-    _, y, _, _ = _integrate(f, y0, params, blocks, record)
+    _, y, _, _, _ = _integrate(f, y0, params, blocks, on_state)
     _invert(y[d:d + n2].reshape(n, n))  # warns if h(t) ended ill-conditioned
     return EquivalenceReport(max_dev_v=worst["v"], max_dev_S=worst["S"],
                              passed=bool(worst["v"] <= tol and worst["S"] <= tol),

@@ -190,10 +190,14 @@ def translated_moment(ctx: CartanContext, spec: RepSpec, h, v: RepVector) -> Tra
     return TranslatedMoment(matrix=h @ m @ hinv)
 
 
+def _energy_and_residual(act: RepAction, coords: np.ndarray) -> tuple[float, float]:
+    """F(v) and the criticality residual of v, on a coordinate array."""
+    coeff, grad = act.moment_and_gradient(coords)
+    f = float(coeff @ coeff)
+    return f, float(np.linalg.norm(grad - f * coords) / np.linalg.norm(coords))
+
+
 def criticality_residual(ctx: CartanContext, spec: RepSpec, v: RepVector) -> float:
     """||pi(m(v)) v - F(v) v|| / ||v||; zero exactly at fixed directions of
     the gradient flow."""
-    act = rep_action(ctx, spec)
-    coeff, grad = act.moment_and_gradient(v.coords)
-    f = float(coeff @ coeff)
-    return float(np.linalg.norm(grad - f * v.coords) / np.linalg.norm(v.coords))
+    return _energy_and_residual(rep_action(ctx, spec), v.coords)[1]

@@ -26,6 +26,7 @@ the plain dot product of coordinate vectors:
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -285,8 +286,13 @@ def _invert(g: np.ndarray) -> np.ndarray:
         raise ValueError("singular group element") from exc
     cond = np.linalg.norm(g, 2) * np.linalg.norm(ginv, 2)
     if cond > COND_WARN_THRESHOLD:
+        # name the first caller outside the package, so that a flow checking
+        # its input at entry points the warning at the flow's caller
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(f"group element has condition number {cond:.3g}; "
-                      "results may lose precision", stacklevel=3)
+                      "results may lose precision", stacklevel=level)
     return ginv
 
 
@@ -316,8 +322,9 @@ def apply_group(spec: RepSpec, g, v: RepVector) -> RepVector:
     Validates, then calls the unchecked kernel ``_act``: raises ValueError
     for a vector of another spec, a non-square or singular g, and a
     non-diagonal g on a TorusWeights family; a condition number above 1e12
-    triggers a warning.  Flows validate their group element once at entry
-    and run ``_act`` inside the integrator.
+    triggers a warning, attributed to the first caller outside the package.
+    Flows validate their group element once at entry and run ``_act``
+    inside the integrator.
     """
     if v.spec != spec:
         raise ValueError("vector does not belong to spec")

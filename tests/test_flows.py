@@ -118,8 +118,8 @@ def test_step_underflow_diagnosed():
     # a wildly oscillating right-hand side never meets the error target
     from momentflow.flows import _integrate
     f = lambda y: np.array([1e8 * np.sin(1e12 * y[0] ** 2 + 1.0)])
-    t, y, status, steps = _integrate(f, np.array([1.0]), FlowParams(),
-                                     [slice(None)], lambda t, y: None)
+    t, y, status, steps, _ = _integrate(f, np.array([1.0]), FlowParams(),
+                                        [slice(None)], lambda t, y: None)
     assert status == "dt_underflow"
 
 
@@ -269,11 +269,63 @@ def test_attempted_step_costs_eleven_evaluations(monkeypatch):
         evals["n"] += 1
         return -y
 
-    t, y, status, steps = flows._integrate(f, np.array([1.0]), FlowParams(dt0=1.0, t_max=2.0),
-                                           [slice(None)], lambda t, y: None)
+    t, y, status, steps, _ = flows._integrate(f, np.array([1.0]), FlowParams(dt0=1.0, t_max=2.0),
+                                              [slice(None)], lambda t, y: None)
     assert status == "t_max" and abs(y[0] - np.exp(-2.0)) <= 1e-9
     assert attempts["n"] > steps > 0
     assert evals["n"] == 11 * attempts["n"]
+
+
+def test_driver_owns_sampling_and_stopping():
+    # y' = -y: on_state sees every state, samples are t = 0, every third
+    # accepted step and the final state once, and a true on_state stops
+    from momentflow.flows import _integrate
+    params = FlowParams(dt0=0.1, t_max=2.0, sample_stride=3)
+    y0 = np.array([1.0])
+    seen = []
+    t, y, status, steps, samples = _integrate(lambda y: -y, y0, params, [slice(None)],
+                                              lambda t, y: seen.append(t))
+    assert status == "t_max" and steps > 6 and len(seen) == steps + 1
+    expected = seen[::3] + ([t] if steps % 3 else [])
+    assert [s for s, _ in samples] == expected and expected[-1] == t
+    assert samples[-1][1][0] == y[0]
+
+    t, y, status, steps, samples = _integrate(lambda y: -y, y0, params, [slice(None)],
+                                              lambda t, y: True)
+    assert (status, steps, len(samples)) == ("converged", 0, 1)
+    assert t == samples[0][0] == 0.0 and samples[0][1][0] == 1.0
+
+    for k in (3, 4):
+        seen = []
+
+        def stop_at_k(t, y):
+            seen.append(t)
+            return len(seen) == k + 1
+
+        t, y, status, steps, samples = _integrate(lambda y: -y, y0, params, [slice(None)],
+                                                  stop_at_k)
+        assert (status, steps) == ("converged", k) and t == seen[-1]
+        assert [s for s, _ in samples] == seen[::3] + ([t] if k % 3 else [])
+
+
+def test_entry_warnings_name_the_caller():
+    # the condition warning at entry points at this file, not at flows.py
+    import warnings
+    ctx = build_context(2, "GL")
+    spec = standard(2)
+    vbar = rep_vector(spec, [1.0, 1.0])
+    h0 = np.diag([1.0, 1e-13])
+    params = FlowParams(t_max=1.0)
+    calls = [lambda: apply_group(spec, h0, vbar),
+             lambda: coupled_group_flow(ctx, spec, vbar, h0, params),
+             lambda: metric_flow(ctx, spec, vbar, SpdMetric(h0 @ h0), params),
+             lambda: verify_flow_equivalence(ctx, spec, vbar, h0, 1.0)]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert caught[0].message.args[0].startswith("group element has condition number 1e+13")
+        assert all(w.filename == __file__ for w in caught)
 
 
 def test_singular_h0_rejected_before_integrating(monkeypatch):
@@ -286,10 +338,15 @@ def test_singular_h0_rejected_before_integrating(monkeypatch):
     ctx = build_context(2, "GL")
     vbar = adjoint_from_matrix(_e(2, 0, 1))
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ValueError, match="singular group element"):
         verify_flow_equivalence(ctx, vbar.spec, vbar, singular, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular group element"):
         coupled_group_flow(ctx, vbar.spec, vbar, singular)
+    non_square = np.ones((2, 3))
+    with pytest.raises(ValueError, match="g must be 2 x 2"):
+        verify_flow_equivalence(ctx, vbar.spec, vbar, non_square, 1.0)
+    with pytest.raises(ValueError, match="g must be 2 x 2"):
+        coupled_group_flow(ctx, vbar.spec, vbar, non_square)
 
 
 def test_metric_flow_validates_at_entry(monkeypatch):
