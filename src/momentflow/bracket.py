@@ -20,8 +20,8 @@ import numpy as np
 
 from .cartan import CartanContext
 from .momentmap import MomentValue, criticality_residual, moment
-from .reps import (RepVector, _brackets_coords_raw, _brackets_tensor_raw,
-                   brackets_from_tensor, brackets_tensor)
+from .reps import (BRACKETS, SQRT2, RepVector, _brackets_tensor_raw, brackets,
+                   brackets_from_tensor)
 
 __all__ = [
     "BracketTensor",
@@ -80,12 +80,14 @@ class BracketTensor:
         return self.jacobi_residual() <= JACOBI_TOL
 
     def to_rep_vector(self) -> RepVector:
-        return brackets_from_tensor(self.tensor)
+        # coordinates are sqrt(2) c in the same (pair, target) order
+        return RepVector(brackets(self.n), SQRT2 * self.c.reshape(-1))
 
     @classmethod
     def from_rep_vector(cls, v: RepVector) -> "BracketTensor":
-        n = v.spec.n
-        return cls(n=n, c=_brackets_coords_raw(brackets_tensor(v), n).reshape(-1, n))
+        if v.spec.family != BRACKETS:
+            raise ValueError("not a Brackets vector")
+        return cls(n=v.spec.n, c=(v.coords / SQRT2).reshape(-1, v.spec.n))
 
 
 def bracket_preset(name: str, n: int) -> BracketTensor:

@@ -14,6 +14,7 @@ diagonals, and the non-negative eigenspace algebra of ad(beta).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,6 +110,9 @@ class CartanContext:
 def build_context(n: int, group: str = "GL") -> CartanContext:
     """Build the Cartan data for GL_n(R) or SL_n(R).
 
+    Contexts are immutable, so one instance per (n, group) is built and
+    shared; caches keyed on a context then stay bounded.
+
     Raises
     ------
     ValueError
@@ -120,7 +124,11 @@ def build_context(n: int, group: str = "GL") -> CartanContext:
         raise ValueError(f"matrix size must be positive, got {n}")
     if group == "SL" and n < 2:
         raise ValueError("SL_n needs n >= 2")
+    return _context(n, group)
 
+
+@lru_cache(maxsize=None)
+def _context(n: int, group: str) -> CartanContext:
     diag: list[np.ndarray] = []
     if group == "GL":
         for i in range(n):

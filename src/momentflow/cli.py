@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+import warnings
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from . import bracket as bracketmod
 from . import hesselink, jordan
 from .cartan import build_context
 from .flows import FlowParams, flow_trajectory_csv, gradient_flow, verify_flow_equivalence
+from .hesselink import _fraction_str
 from .momentmap import closed_form_moment, criticality_residual, moment
 from .reps import (TORUS_WEIGHTS, RepSpec, canonical_family, rep_vector,
                    torus_weights, vector_from_json, weights_of)
@@ -27,48 +29,19 @@ from .reps import (TORUS_WEIGHTS, RepSpec, canonical_family, rep_vector,
 __all__ = ["main", "run"]
 
 
-@dataclass
-class CliConfig:
-    """Tolerances and flow parameters, assembled from a key=value config
-    file overridden by command-line flags."""
-
-    residual_tol: float = 1e-9
-    match_tol: float = 1e-6
-    dt0: float = 1e-2
-    t_max: float = 1e3
-    sample_stride: int = 10
-    max_steps: int = 1_000_000
-    seed: int = 0
-    format: str = "json"
-
-    _FLOAT_KEYS = ("residual_tol", "match_tol", "dt0", "t_max")
-    _INT_KEYS = ("sample_stride", "max_steps", "seed")
-
-    def apply(self, key: str, value: str) -> None:
-        if key in self._FLOAT_KEYS:
-            setattr(self, key, float(value))
-        elif key in self._INT_KEYS:
-            setattr(self, key, int(value))
-        elif key == "format":
-            if value not in ("json", "csv"):
-                raise ValueError(f"format must be json or csv, got {value!r}")
-            self.format = value
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-
-    def flow_params(self, renormalize: bool = True) -> FlowParams:
-        return FlowParams(dt0=self.dt0, t_max=self.t_max,
-                          residual_tol=self.residual_tol,
-                          max_steps=self.max_steps,
-                          sample_stride=self.sample_stride,
-                          renormalize=renormalize)
+# config-file keys and their value types; a flag of the same name overrides
+# the file's value
+_CONFIG_KEYS = {"residual_tol": float, "match_tol": float, "dt0": float, "t_max": float,
+                "sample_stride": int, "max_steps": int, "seed": int}
+_FLOW_FIELDS = {f.name for f in fields(FlowParams)}
 
 
 class UsageError(Exception):
     pass
 
 
-def _load_config(cfg: CliConfig, path: str) -> None:
+def _load_config(path: str) -> dict:
+    settings = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -77,10 +50,28 @@ def _load_config(cfg: CliConfig, path: str) -> None:
             if "=" not in line:
                 raise UsageError(f"bad config line {raw.strip()!r}; expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}")
             try:
-                cfg.apply(key, value)
+                settings[key] = _CONFIG_KEYS[key](value)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
+    return settings
+
+
+def _settings(args) -> dict:
+    """The --config file's entries, overridden by the flags given."""
+    settings = _load_config(args.config) if args.config else {}
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            settings[key] = value
+    return settings
+
+
+def _flow_params(settings: dict, renormalize: bool = True) -> FlowParams:
+    known = {k: v for k, v in settings.items() if k in _FLOW_FIELDS}
+    return FlowParams(**known, renormalize=renormalize)
 
 
 def _maybe_file(text: str):
@@ -115,10 +106,6 @@ def _resolve_vector(args):
     return rep_vector(_resolve_spec(args), doc)
 
 
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _floats(a) -> list:
     return [float(x) for x in np.asarray(a).reshape(-1)]
 
@@ -135,7 +122,7 @@ def _emit_json(doc) -> None:
 # subcommands
 
 
-def _cmd_rep_info(args, cfg: CliConfig) -> int:
+def _cmd_rep_info(args) -> int:
     spec = _resolve_spec(args)
     doc = {
         "family": spec.family,
@@ -155,7 +142,7 @@ def _cmd_rep_info(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_moment(args, cfg: CliConfig) -> int:
+def _cmd_moment(args) -> int:
     v = _resolve_vector(args)
     ctx = build_context(v.spec.n, args.group)
     mv = moment(ctx, v.spec, v)
@@ -174,11 +161,12 @@ def _cmd_moment(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_flow(args, cfg: CliConfig) -> int:
+def _cmd_flow(args) -> int:
+    settings = _settings(args)
     v = _resolve_vector(args)
     ctx = build_context(v.spec.n, args.group)
-    result = gradient_flow(ctx, v.spec, v, cfg.flow_params(renormalize=not args.raw))
-    if cfg.format == "csv":
+    result = gradient_flow(ctx, v.spec, v, _flow_params(settings, renormalize=not args.raw))
+    if args.format == "csv":
         sys.stdout.write(flow_trajectory_csv(result))
         return 0
     doc = {
@@ -205,19 +193,22 @@ def _random_well_conditioned(n: int, seed: int, diagonal: bool = False) -> np.nd
     return q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ q2
 
 
-def _cmd_verify_flows(args, cfg: CliConfig) -> int:
+def _cmd_verify_flows(args) -> int:
+    settings = _settings(args)
     vbar = _resolve_vector(args)
     n = vbar.spec.n
     ctx = build_context(n, args.group)
     if args.h0 is not None:
         h0 = np.asarray(_maybe_file(args.h0), dtype=float)
     else:
-        h0 = _random_well_conditioned(n, cfg.seed, vbar.spec.family == TORUS_WEIGHTS)
-    report = verify_flow_equivalence(ctx, vbar.spec, vbar, h0, cfg.t_max,
-                                     cfg.flow_params(), tol=cfg.match_tol)
+        h0 = _random_well_conditioned(n, settings.get("seed", 0),
+                                      vbar.spec.family == TORUS_WEIGHTS)
+    params = _flow_params(settings)
+    tol = {"tol": settings["match_tol"]} if "match_tol" in settings else {}
+    report = verify_flow_equivalence(ctx, vbar.spec, vbar, h0, params.t_max, params, **tol)
     _emit_json({
         "h0": _matrix(h0),
-        "t_max": cfg.t_max,
+        "t_max": params.t_max,
         "max_dev_v": report.max_dev_v,
         "max_dev_S": report.max_dev_S,
         "tol": report.tol,
@@ -226,13 +217,13 @@ def _cmd_verify_flows(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_label(args, cfg: CliConfig) -> int:
+def _cmd_label(args) -> int:
     v = _resolve_vector(args)
     _emit_json(hesselink.label_to_json(hesselink.optimal_class(v.spec, v)))
     return 0
 
 
-def _cmd_labels_enumerate(args, cfg: CliConfig) -> int:
+def _cmd_labels_enumerate(args) -> int:
     spec = _resolve_spec(args)
     enum = hesselink.enumerate_labels(spec, max_weight_count=args.cap)
     _emit_json({
@@ -243,7 +234,7 @@ def _cmd_labels_enumerate(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_stratum(args, cfg: CliConfig) -> int:
+def _cmd_stratum(args) -> int:
     v = _resolve_vector(args)
     if args.label is None:
         raise UsageError("--label is required (inline JSON, @file, or '-' for stdin)")
@@ -256,9 +247,10 @@ def _cmd_stratum(args, cfg: CliConfig) -> int:
         raise UsageError("cannot test membership against the semistable marker")
     report = hesselink.stratum_membership(v.spec, v, label)
     _emit_json({
-        "eta": [_rat(x) for x in label.eta],
-        "q": _rat(report.q),
-        "grading": [{"weight": list(w), "r": _rat(r)} for w, r in sorted(report.grading.items())],
+        "eta": [_fraction_str(x) for x in label.eta],
+        "q": _fraction_str(report.q),
+        "grading": [{"weight": list(w), "r": _fraction_str(r)}
+                    for w, r in sorted(report.grading.items())],
         "in_V_ge0": report.in_V_ge0,
         "v0_coords": _floats(report.v0.coords),
         "in_U_ge0": report.in_U_ge0,
@@ -266,7 +258,7 @@ def _cmd_stratum(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_jordan(args, cfg: CliConfig) -> int:
+def _cmd_jordan(args) -> int:
     if args.partition is None:
         raise UsageError("--partition is required, e.g. --partition 3,2")
     p = jordan.Partition.parse(args.partition)
@@ -274,11 +266,11 @@ def _cmd_jordan(args, cfg: CliConfig) -> int:
     _emit_json({
         "partition": list(p.parts),
         "n": p.n,
-        "eta": [_rat(x) for x in rep.label.eta],
-        "q": _rat(rep.label.q),
-        "eta_normalized": [_rat(x) for x in rep.label.eta_normalized],
-        "beta_paper": [_rat(x) for x in rep.beta_paper],
-        "q_paper": _rat(rep.q_paper),
+        "eta": [_fraction_str(x) for x in rep.label.eta],
+        "q": _fraction_str(rep.label.q),
+        "eta_normalized": [_fraction_str(x) for x in rep.label.eta_normalized],
+        "beta_paper": [_fraction_str(x) for x in rep.beta_paper],
+        "q_paper": _fraction_str(rep.q_paper),
         "identity_ok": rep.identity_ok,
         "display_ok": rep.display_ok,
         "negdef_ok": rep.negdef_ok,
@@ -287,7 +279,11 @@ def _cmd_jordan(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_bracket(args, cfg: CliConfig) -> int:
+def _cmd_bracket(args) -> int:
+    settings = _settings(args)
+    # FlowParams (which validates every setting) is built only to flow, so
+    # that a report without --flow reads nothing but the tolerance
+    tol = settings.get("residual_tol", FlowParams.residual_tol)
     if args.n is None:
         raise UsageError("--n is required")
     mu = bracketmod.bracket_preset(args.preset, args.n)
@@ -295,8 +291,8 @@ def _cmd_bracket(args, cfg: CliConfig) -> int:
     v = mu.to_rep_vector().normalized()
     res = criticality_residual(ctx, v.spec, v)
     flowed = False
-    if res > cfg.residual_tol and args.flow:
-        result = gradient_flow(ctx, v.spec, v, cfg.flow_params())
+    if res > tol and args.flow:
+        result = gradient_flow(ctx, v.spec, v, _flow_params(settings))
         v = result.limit
         mu = bracketmod.BracketTensor.from_rep_vector(v)
         res = criticality_residual(ctx, v.spec, v)
@@ -309,8 +305,8 @@ def _cmd_bracket(args, cfg: CliConfig) -> int:
         "criticality_residual": res,
         "moment_matrix": _matrix(moment(ctx, v.spec, v).matrix),
     }
-    if res <= cfg.residual_tol:
-        check = bracketmod.critical_bracket_check(ctx, mu, residual_tol=cfg.residual_tol)
+    if res <= tol:
+        check = bracketmod.critical_bracket_check(ctx, mu, residual_tol=tol)
         doc["critical_check"] = {
             "beta_spectrum": _floats(check.beta.spectrum),
             "beta_plus_eigenvalues": _floats(np.real(check.eigenvalues)),
@@ -323,14 +319,14 @@ def _cmd_bracket(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_project_sl(args, cfg: CliConfig) -> int:
+def _cmd_project_sl(args) -> int:
     if args.eta is None:
         raise UsageError("--eta is required")
     raw = _maybe_file(args.eta)
     eta = tuple(Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12)
                 for x in raw)
     out = hesselink.project_to_sl(eta)
-    _emit_json({"eta": [_rat(Fraction(x)) for x in eta], "eta_sl": [_rat(x) for x in out]})
+    _emit_json({"eta": [_fraction_str(x) for x in eta], "eta_sl": [_fraction_str(x) for x in out]})
     return 0
 
 
@@ -338,99 +334,85 @@ def _cmd_project_sl(args, cfg: CliConfig) -> int:
 # parser
 
 
+# every flag, defined once; each subcommand registers only the flags it reads
+_FLAGS = {
+    "--family": {"help": "representation family (standard, dual, adjoint, lambda2, brackets)"},
+    "--n": {"type": int, "help": "matrix size"},
+    "--weights": {"help": "TorusWeights weight list, inline JSON or @file"},
+    "--group": {"choices": ("GL", "SL"), "default": "GL"},
+    "--vector": {"help": "coordinates, inline JSON array/object or @file"},
+    "--config": {"help": "key=value config file; flags override it"},
+    "--t-max": {"dest": "t_max", "type": float},
+    "--dt0": {"type": float},
+    "--tol": {"dest": "residual_tol", "type": float},
+    "--match-tol": {"dest": "match_tol", "type": float},
+    "--seed": {"type": int},
+    "--format": {"choices": ("json", "csv"), "default": "csv"},
+    "--raw": {"action": "store_true", "help": "disable unit-sphere renormalization"},
+    "--h0": {"help": "initial group element, inline JSON or @file (default: seeded random)"},
+    "--cap": {"type": int, "default": 20, "help": "maximum distinct weight count"},
+    "--label": {"help": "label JSON (inline, @file, or '-' for stdin)"},
+    "--partition": {"help": "comma-separated block sizes, e.g. 3,2"},
+    "--preset": {"choices": ("heisenberg", "chain"), "default": "heisenberg"},
+    "--flow": {"action": "store_true", "help": "flow to a critical direction first"},
+    "--eta": {"help": "rational vector, e.g. '[\"1/2\",\"0\",\"-1/2\"]' or '[1,0,-1]'"},
+}
+_SPEC = ("--family", "--n", "--weights")
+_VECTOR = _SPEC + ("--vector",)
+_MOMENT = _SPEC + ("--group", "--vector")
+_SETTINGS = ("--config", "--t-max", "--dt0", "--tol")
+_SUBCOMMANDS = (
+    ("rep-info", _cmd_rep_info, "dimension, weights, coordinate order", _SPEC),
+    ("moment", _cmd_moment, "moment map value of a vector", _MOMENT),
+    ("flow", _cmd_flow, "integrate the gradient flow (CSV by default)",
+     _MOMENT + _SETTINGS + ("--format", "--raw")),
+    ("verify-flows", _cmd_verify_flows, "three-flow equivalence report",
+     _MOMENT + _SETTINGS + ("--match-tol", "--seed", "--h0")),
+    ("label", _cmd_label, "exact Hesselink label of a vector", _VECTOR),
+    ("labels-enumerate", _cmd_labels_enumerate, "all candidate labels of a family",
+     _SPEC + ("--cap",)),
+    ("stratum", _cmd_stratum, "stratum membership report", _VECTOR + ("--label",)),
+    ("jordan", _cmd_jordan, "exact label data of a Jordan partition", ("--partition",)),
+    ("bracket", _cmd_bracket, "bracket preset and critical-point report",
+     ("--n",) + _SETTINGS + ("--preset", "--flow")),
+    ("project-sl", _cmd_project_sl, "orthogonal projection of a label to trace zero", ("--eta",)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentflow",
         description="Moment maps, flows, and exact stratum labels for GL_n(R)/SL_n(R).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, vector=False):
-        p.add_argument("--family", help="representation family (standard, dual, adjoint, lambda2, brackets)")
-        p.add_argument("--n", type=int, help="matrix size")
-        p.add_argument("--weights", help="TorusWeights weight list, inline JSON or @file")
-        p.add_argument("--group", choices=("GL", "SL"), default="GL")
-        if vector:
-            p.add_argument("--vector", help="coordinates, inline JSON array/object or @file")
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--dt0", type=float)
-        p.add_argument("--tol", dest="residual_tol", type=float)
-        p.add_argument("--match-tol", dest="match_tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--format", choices=("json", "csv"))
-
-    p = sub.add_parser("rep-info", help="dimension, weights, coordinate order")
-    common(p)
-    p.set_defaults(func=_cmd_rep_info)
-
-    p = sub.add_parser("moment", help="moment map value of a vector")
-    common(p, vector=True)
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser("flow", help="integrate the gradient flow (CSV by default)")
-    common(p, vector=True)
-    p.add_argument("--raw", action="store_true", help="disable unit-sphere renormalization")
-    p.set_defaults(func=_cmd_flow, default_format="csv")
-
-    p = sub.add_parser("verify-flows", help="three-flow equivalence report")
-    common(p, vector=True)
-    p.add_argument("--h0", help="initial group element, inline JSON or @file (default: seeded random)")
-    p.set_defaults(func=_cmd_verify_flows)
-
-    p = sub.add_parser("label", help="exact Hesselink label of a vector")
-    common(p, vector=True)
-    p.set_defaults(func=_cmd_label)
-
-    p = sub.add_parser("labels-enumerate", help="all candidate labels of a family")
-    common(p)
-    p.add_argument("--cap", type=int, default=20, help="maximum distinct weight count")
-    p.set_defaults(func=_cmd_labels_enumerate)
-
-    p = sub.add_parser("stratum", help="stratum membership report")
-    common(p, vector=True)
-    p.add_argument("--label", help="label JSON (inline, @file, or '-' for stdin)")
-    p.set_defaults(func=_cmd_stratum)
-
-    p = sub.add_parser("jordan", help="exact label data of a Jordan partition")
-    common(p)
-    p.add_argument("--partition", help="comma-separated block sizes, e.g. 3,2")
-    p.set_defaults(func=_cmd_jordan)
-
-    p = sub.add_parser("bracket", help="bracket preset and critical-point report")
-    common(p)
-    p.add_argument("--preset", choices=("heisenberg", "chain"), default="heisenberg")
-    p.add_argument("--flow", action="store_true", help="flow to a critical direction first")
-    p.set_defaults(func=_cmd_bracket)
-
-    p = sub.add_parser("project-sl", help="orthogonal projection of a label to trace zero")
-    p.add_argument("--eta", help="rational vector, e.g. '[\"1/2\",\"0\",\"-1/2\"]' or '[1,0,-1]'")
-    p.add_argument("--config", help="key=value config file")
-    p.set_defaults(func=_cmd_project_sl)
-
+    for name, func, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    """Entry point used by tests: parse argv, execute, return the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = CliConfig()
-    try:
-        if getattr(args, "config", None):
-            _load_config(cfg, args.config)
-        if getattr(args, "default_format", None) and args.format is None:
-            cfg.format = args.default_format
-        for key in ("t_max", "dt0", "residual_tol", "match_tol", "seed", "format"):
-            value = getattr(args, key, None)
-            if value is not None:
-                setattr(cfg, key, value)
-        return args.func(args, cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    """Entry point used by tests: parse argv, execute, return the exit code.
+
+    Warnings raised while the subcommand runs are reported on stderr as
+    ``warning: <text>`` lines, ahead of any ``error:`` line.
+    """
+    args = _build_parser().parse_args(argv)
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.func(args)
+        except UsageError as exc:
+            code, error = 2, exc
+        except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+            code, error = 1, exc
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -146,21 +146,23 @@ def enumerate_labels(spec: RepSpec, max_weight_count: int = 20) -> LabelEnumerat
     """Minimum-norm points of all non-empty subsets of the weight set,
     deduplicated after Weyl normalization.
 
-    Nonzero ones are supported on affinely independent subsets, and zero
-    arises iff it does for the whole set.  Refuses weight sets above
-    ``max_weight_count``: the enumeration is exponential and silent sampling
-    would corrupt closure-order reasoning downstream.
+    Every minimum-norm point is the affine minimizer of an affinely
+    independent subset with non-negative barycentric coordinates, so one
+    walk over those subsets finds all of them; zero is among them exactly
+    when it lies in the hull of the whole set (Caratheodory).  Refuses
+    weight sets above ``max_weight_count``: the enumeration is exponential
+    and silent sampling would corrupt closure-order reasoning downstream.
     """
     distinct = sorted(set(weights_of(spec)))
     if len(distinct) > max_weight_count:
         raise ValueError(f"{len(distinct)} distinct weights exceed the cap "
                          f"{max_weight_count}; raise max_weight_count explicitly "
                          "to enumerate their subsets")
-    found = {weyl_normalize(eta) for eta in _feasible_affine_minimizers(distinct) if any(eta)}
-    labels = [HesselinkLabel.from_eta(eta) for eta in found]
+    found = {weyl_normalize(eta) for eta in _feasible_affine_minimizers(distinct)}
+    zero = (0,) * len(distinct[0])
+    labels = [HesselinkLabel.from_eta(eta) for eta in found if eta != zero]
     labels.sort(key=lambda lab: (-lab.q, lab.eta))
-    return LabelEnumeration(labels=tuple(labels),
-                            zero_label=min_norm_point(distinct).is_zero)
+    return LabelEnumeration(labels=tuple(labels), zero_label=zero in found)
 
 
 @dataclass(frozen=True)

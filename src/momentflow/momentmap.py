@@ -102,8 +102,9 @@ class RepAction:
 
 @lru_cache(maxsize=None)
 def rep_action(ctx: CartanContext, spec: RepSpec) -> RepAction:
-    # CartanContext hashes by identity (eq=False), so the cache is per
-    # context instance; RepSpec is a value key.
+    # CartanContext hashes by identity (eq=False) and build_context hands
+    # out one shared instance per (n, group), so the cache holds at most one
+    # stack per (n, group, spec); RepSpec is a value key.
     return RepAction(ctx, spec)
 
 

@@ -1,9 +1,15 @@
+import argparse
+import io
 import json
+import shlex
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momentflow.cli import run
+from momentflow.cli import _build_parser, run
+from momentflow.momentmap import rep_action
 
 
 def _capture(capsys, argv):
@@ -84,8 +90,6 @@ def test_label_stratum_round_trip(capsys, monkeypatch):
         "label", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]"])
     assert code == 0
 
-    import io
-    import sys
     monkeypatch.setattr(sys, "stdin", io.StringIO(out))
     code, doc = _capture_json(capsys, [
         "stratum", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]",
@@ -207,10 +211,122 @@ def test_non_finite_vector_exit_1(capsys):
 
 def test_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg"
-    cfg.write_text("nonsense_key=3\n")
-    code = run(["flow", "--family", "standard", "--n", "2", "--vector", "[1,0]",
-                "--config", str(cfg)])
-    assert code == 2
+    for text, message in (("nonsense_key=3\n", "unknown config key 'nonsense_key'"),
+                          # the flow's output format is a flag, not a setting
+                          ("format=json\n", "unknown config key 'format'"),
+                          ("t_max=abc\n", "could not convert string to float"),
+                          ("seed=1.5\n", "invalid literal for int()"),
+                          ("t_max\n", "expected key=value")):
+        cfg.write_text(text)
+        code = run(["flow", "--family", "standard", "--n", "2", "--vector", "[1,0]",
+                    "--config", str(cfg)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_config_keys_reach_verify_flows(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("t_max=0.5\nmatch_tol=1e-3\nseed=3\nsample_stride=2\n")
+    base = ["verify-flows", "--family", "standard", "--n", "2", "--vector", "[1,0]"]
+    code, from_file = _capture_json(capsys, base + ["--config", str(cfg)])
+    assert code == 0
+    assert (from_file["t_max"], from_file["tol"]) == (0.5, 1e-3)
+    code, from_flags = _capture_json(capsys, base + ["--t-max", "0.5", "--match-tol", "1e-3",
+                                                     "--seed", "3"])
+    assert from_flags == from_file
+    code, overridden = _capture_json(capsys, base + ["--config", str(cfg), "--seed", "4"])
+    assert overridden["h0"] != from_file["h0"]
+
+
+_FLAGS_READ = {
+    "rep-info": {"--family", "--n", "--weights"},
+    "moment": {"--family", "--n", "--weights", "--vector", "--group"},
+    "flow": {"--family", "--n", "--weights", "--vector", "--group", "--config", "--t-max",
+             "--dt0", "--tol", "--format", "--raw"},
+    "verify-flows": {"--family", "--n", "--weights", "--vector", "--group", "--config",
+                     "--t-max", "--dt0", "--tol", "--match-tol", "--seed", "--h0"},
+    "label": {"--family", "--n", "--weights", "--vector"},
+    "labels-enumerate": {"--family", "--n", "--weights", "--cap"},
+    "stratum": {"--family", "--n", "--weights", "--vector", "--label"},
+    "jordan": {"--partition"},
+    "bracket": {"--n", "--config", "--t-max", "--dt0", "--tol", "--preset", "--flow"},
+    "project-sl": {"--eta"},
+}
+
+
+def test_each_subcommand_registers_only_the_flags_it_reads():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {name: {opt for action in p._actions for opt in action.option_strings
+                         if opt not in ("-h", "--help")}
+                  for name, p in sub.choices.items()}
+    assert registered == _FLAGS_READ
+    assert sum(len(flags) for flags in registered.values()) == 53
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep-info", "--family", "standard", "--n", "2", "--group", "SL"],
+    ["moment", "--family", "standard", "--n", "2", "--vector", "[1,0]", "--t-max", "1"],
+    ["flow", "--family", "standard", "--n", "2", "--vector", "[1,0]", "--seed", "1"],
+    ["verify-flows", "--family", "standard", "--n", "2", "--vector", "[1,0]",
+     "--format", "csv"],
+    ["label", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]", "--group", "SL"],
+    ["labels-enumerate", "--family", "standard", "--n", "3", "--config", "cfg"],
+    ["stratum", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]", "--label", "-",
+     "--dt0", "0.1"],
+    ["jordan", "--partition", "3,2", "--n", "5"],
+    ["bracket", "--preset", "heisenberg", "--n", "3", "--group", "SL"],
+    ["project-sl", "--eta", "[1,0]", "--config", "cfg"],
+], ids=lambda argv: argv[0])
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_warnings_reported_in_cli_form(capsys):
+    argv = ["verify-flows", "--family", "standard", "--n", "2", "--t-max", "1"]
+    code = run(argv + ["--vector", "[1,0]", "--h0", "[[1,0],[0,1e-13]]"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    # h0 at entry and h(t) at the end of the run are both ill-conditioned
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("warning: group element has condition number") for line in lines)
+    # warnings come ahead of the error that ends a run
+    code = run(argv + ["--vector", "[0,1]", "--h0", "[[1,0],[0,1e-300]]"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: group element has condition number 1e+300; results may lose precision",
+        "error: cannot flow the zero vector"]
+
+
+def test_contexts_shared_across_runs(capsys):
+    rep_action.cache_clear()
+    for _ in range(3):
+        assert run(["bracket", "--preset", "chain", "--n", "4"]) == 0
+    assert rep_action.cache_info().currsize == 1
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("momentflow ")]
+
+
+def test_readme_commands_run(capsys, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) == 8
+    for line in commands:
+        stdin = ""
+        for stage in line.split(" | "):
+            argv = shlex.split(stage)
+            assert argv[0] == "momentflow"
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            assert run(argv[1:]) == 0, stage
+            stdin = capsys.readouterr().out
 
 
 def test_verify_flows_torus_module(capsys):

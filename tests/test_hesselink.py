@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentflow import (MINUS_INFINITY, adjoint, adjoint_from_matrix,
+from momentflow import (MINUS_INFINITY, adjoint, adjoint_from_matrix, apply_group,
                         brackets, build_context, cochar_gram_check, dual,
                         enumerate_labels, instability_measure, jordan_label,
                         kn_label_via_flow, label_from_json, label_to_json,
@@ -78,6 +78,37 @@ def test_optimal_class_scale_invariant(rng):
         assert (base is None) == (other is None)
         if base is not None:
             assert base.eta == other.eta
+
+
+_magnitudes = st.floats(0.5, 2.0)
+_signed = st.tuples(st.sampled_from([-1.0, 1.0]), _magnitudes).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def _sparse_vector_and_torus_element(draw):
+    # nonzero coordinates and torus entries are bounded away from zero, so
+    # every rescaled weight component stays far above zero_tol and the state
+    # cannot change
+    spec = draw(st.sampled_from([adjoint(3), lambda2(4), brackets(3)]))
+    coords = draw(st.lists(st.one_of(st.just(0.0), _signed), min_size=spec.dim,
+                           max_size=spec.dim).filter(any))
+    perm = draw(st.permutations(range(spec.n)))
+    torus = draw(st.lists(_signed, min_size=spec.n, max_size=spec.n))
+    return spec, rep_vector(spec, coords), np.eye(spec.n)[list(perm)], np.diag(torus)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_sparse_vector_and_torus_element())
+def test_optimal_class_invariant_under_permutations_and_torus(case):
+    spec, v, perm, torus = case
+
+    def eta(w):  # the label is determined by eta; None marks semistability
+        label = optimal_class(spec, w)
+        return None if label is None else label.eta
+
+    base = eta(v)
+    for g in (perm, torus):
+        assert eta(apply_group(spec, g, v)) == base
 
 
 def test_null_cone_dichotomy(rng):
