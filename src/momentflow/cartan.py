@@ -180,14 +180,20 @@ def spd_sqrt(s) -> np.ndarray:
     return _spd_root(s)
 
 
-def _spd_root(s: np.ndarray) -> np.ndarray:
-    """:func:`spd_sqrt` of a float matrix already known to be symmetric;
-    only positivity is checked."""
+def _spd_root_and_inverse(s: np.ndarray):
+    """:func:`spd_sqrt` of a float matrix already known to be symmetric, and
+    the inverse of that root, from one eigendecomposition; only positivity
+    is checked."""
     w, q = np.linalg.eigh(s)
     if w[0] <= 0.0:
         raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:g})")
-    h = (q * np.sqrt(w)) @ q.T
-    return 0.5 * (h + h.T)
+    r = np.sqrt(w)
+    h = (q * r) @ q.T
+    return 0.5 * (h + h.T), (q / r) @ q.T
+
+
+def _spd_root(s: np.ndarray) -> np.ndarray:
+    return _spd_root_and_inverse(s)[0]
 
 
 def parabolic_lie_algebra(ctx: CartanContext, beta, tol: float = AD_GRADING_TOL) -> np.ndarray:

@@ -102,6 +102,8 @@ def _resolve_vector(args):
             raise UsageError("--family contradicts the vector document")
         if args.n is not None and args.n != v.spec.n:
             raise UsageError("--n contradicts the vector document")
+        if args.weights is not None and torus_weights(_maybe_file(args.weights)) != v.spec:
+            raise UsageError("--weights contradicts the vector document")
         return v
     return rep_vector(_resolve_spec(args), doc)
 

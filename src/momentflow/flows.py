@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cartan import CartanContext, _spd_root
+from .cartan import CartanContext, _spd_root, _spd_root_and_inverse
 from .momentmap import MomentValue, _energy_and_residual, _moment_matrix, moment, rep_action
 from .reps import (TORUS_WEIGHTS, RepSpec, RepVector, _act, _diagonal_or_raise, _invert,
                    apply_group, rep_vector)
@@ -254,12 +254,13 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
                              status=status)
 
 
-def _rho(spec, h, c):
-    """rho(h) c on raw arrays; on a torus module h must stay diagonal."""
+def _rho(spec, h, c, hinv=None):
+    """rho(h) c on raw arrays, inverting h unless ``hinv`` is given; on a
+    torus module h must stay diagonal."""
     if spec.family == TORUS_WEIGHTS:
         _diagonal_or_raise(h, "h")
         return _act(spec, h, None, c)
-    return _act(spec, h, np.linalg.inv(h), c)
+    return _act(spec, h, np.linalg.inv(h) if hinv is None else hinv, c)
 
 
 def _sym(y, n):
@@ -268,9 +269,9 @@ def _sym(y, n):
     return 0.5 * (m + m.T)
 
 
-def _moment_at(ctx, act, h, vbar):
+def _moment_at(ctx, act, h, vbar, hinv=None):
     """m(rho(h) vbar) as a matrix; ``vbar`` is a coordinate array."""
-    return _moment_matrix(ctx, act.moment_coefficients(_rho(act.spec, h, vbar)))
+    return _moment_matrix(ctx, act.moment_coefficients(_rho(act.spec, h, vbar, hinv)))
 
 
 def _metric_velocity(ctx, act, vbar, y):
@@ -278,8 +279,8 @@ def _metric_velocity(ctx, act, vbar, y):
     on the flattened S; ``vbar`` is a coordinate array."""
     n = ctx.n
     s = _sym(y, n)
-    h = _spd_root(s)
-    big = np.linalg.solve(h, _moment_at(ctx, act, h, vbar) @ h)
+    h, hinv = _spd_root_and_inverse(s)
+    big = hinv @ _moment_at(ctx, act, h, vbar, hinv) @ h
     return _sym(-(big.T @ s + s @ big), n).reshape(-1)
 
 

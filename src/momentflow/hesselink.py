@@ -263,6 +263,8 @@ def project_to_sl(eta) -> RationalVector:
     """Orthogonal projection onto the trace-zero hyperplane:
     eta - (sum eta_i / n) (1, ..., 1), exactly."""
     eta = to_rational_vector(eta)
+    if not eta:
+        raise ValueError("cannot project an empty label")
     shift = sum(eta, Fraction(0)) / len(eta)
     return tuple(x - shift for x in eta)
 

@@ -88,6 +88,20 @@ def test_spd_sqrt_squares_back(rng):
         assert np.linalg.norm(h @ h - s) <= 1e-12 * np.linalg.norm(s)
 
 
+def test_spd_root_and_inverse(rng):
+    # the metric flow takes sqrt(S) and its inverse from one eigendecomposition;
+    # the root must be spd_sqrt's bit for bit, the inverse checked by multiplication
+    from momentflow.cartan import _spd_root_and_inverse
+    for _ in range(50):
+        n = int(rng.integers(1, 7))
+        s = random_spd(rng, n)
+        h, hinv = _spd_root_and_inverse(s)
+        assert np.array_equal(h, spd_sqrt(s))
+        assert np.linalg.norm(hinv @ h - np.eye(n)) <= 1e-12 * n
+    with pytest.raises(ValueError):
+        _spd_root_and_inverse(np.diag([1.0, 0.0]))
+
+
 def test_spd_sqrt_errors():
     with pytest.raises(ValueError):
         spd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -148,6 +148,28 @@ def test_vector_from_file(tmp_path, capsys):
     assert doc["eta"] == ["1/1", "0/1"]
 
 
+def test_weights_contradicting_vector_document_exit_2(tmp_path, capsys):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({"family": "standard", "n": 2, "coords": [1.0, 0.0]}))
+    code = run(["label", "--weights", "[[5,5]]", "--vector", f"@{path}"])
+    assert code == 2
+    assert "--weights contradicts the vector document" in capsys.readouterr().err
+    path.write_text(json.dumps({"family": "TorusWeights", "weights": [[1, 0], [0, 1]],
+                                "coords": [1.0, 1.0]}))
+    code = run(["label", "--weights", "[[1,0],[0,2]]", "--vector", f"@{path}"])
+    assert code == 2
+    code, doc = _capture_json(capsys, ["label", "--weights", "[[1,0],[0,1]]",
+                                       "--vector", f"@{path}"])
+    assert code == 0
+    assert doc["eta"] == ["1/2", "1/2"]
+
+
+def test_project_sl_empty_eta_exit_1(capsys):
+    code = run(["project-sl", "--eta", "[]"])
+    assert code == 1
+    assert "error: cannot project an empty label" in capsys.readouterr().err
+
+
 def test_torus_weights_via_flag(capsys):
     code, doc = _capture_json(capsys, [
         "label", "--weights", "[[1,0],[0,1]]", "--vector", "[1,1]"])

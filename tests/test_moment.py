@@ -296,3 +296,59 @@ def test_moment_matrix_kernel_equals_moment(rng, group):
         v = random_vector(rng, spec)
         c = rep_action(ctx, spec).moment_coefficients(v.coords)
         assert np.array_equal(_moment_matrix(ctx, c), moment(ctx, spec, v).matrix)
+
+
+def _torus_module(rng, n):
+    return torus_weights(rng.integers(-2, 3, size=(n + 2, n)))
+
+
+@pytest.mark.parametrize("group", ["GL", "SL"])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_sparse_operator_matches_apply_lie(rng, group, n):
+    # oracle: apply_lie on the p-basis, entry by entry: the coefficient of
+    # m(v) along B_k is <pi(B_k) v, v>/|v|^2 (zero past the diagonal prefix
+    # on a torus module), and the gradient is pi(m(v)) v
+    from momentflow.momentmap import RepAction
+    ctx = build_context(n, group)
+    for spec in matrix_families(n) + [_torus_module(rng, n)]:
+        act = RepAction(ctx, spec)
+        v = random_vector(rng, spec)
+        nrm2 = float(v.coords @ v.coords)
+        acting = ctx.a_dim if spec.family == "TorusWeights" else ctx.dim_p
+        want = np.zeros(ctx.dim_p)
+        for k in range(acting):
+            want[k] = apply_lie(spec, ctx.p_basis[k], v).coords @ v.coords / nrm2
+        coeff = act.moment_coefficients(v.coords)
+        assert np.abs(coeff - want).max() <= 1e-12 * np.abs(want).max()
+        grad = apply_lie(spec, moment(ctx, spec, v).matrix, v).coords
+        assert np.abs(act.gradient(v.coords) - grad).max() <= 1e-12 * np.abs(grad).max()
+        both = act.moment_and_gradient(v.coords)
+        assert np.array_equal(both[0], coeff)
+        assert np.array_equal(both[1], act.gradient(v.coords))
+
+
+def test_sparse_operator_build_is_deterministic_and_ordered():
+    from momentflow.momentmap import RepAction
+    ctx = build_context(4, "SL")
+    for spec in matrix_families(4):
+        a, b = RepAction(ctx, spec).pi_stack, RepAction(ctx, spec).pi_stack
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # entries by k, then column j, then row i, with no explicit zeros
+        order = np.lexsort((a["i"], a["j"], a["k"]))
+        assert np.array_equal(order, np.arange(order.size))
+        assert np.all(a["value"] != 0.0)
+
+
+def test_sparse_operator_is_never_dense():
+    # the dense dim_p x dim x dim stack of brackets(8) takes 14.5 MB
+    import tracemalloc
+    from momentflow.momentmap import RepAction
+    ctx = build_context(8, "GL")
+    tracemalloc.start()
+    try:
+        act = RepAction(ctx, brackets(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert act.pi_stack.nbytes < 1e6
+    assert peak < 5e6
