@@ -20,8 +20,7 @@ import numpy as np
 
 from .cartan import CartanContext
 from .momentmap import MomentValue, criticality_residual, moment
-from .reps import (BRACKETS, SQRT2, RepVector, _brackets_tensor_raw, brackets,
-                   brackets_from_tensor)
+from .reps import BRACKETS, SQRT2, RepVector, _tensor, brackets, brackets_from_tensor
 
 __all__ = [
     "BracketTensor",
@@ -60,7 +59,7 @@ class BracketTensor:
     @property
     def tensor(self) -> np.ndarray:
         """Full antisymmetrized tensor T[l, i, j] = mu(e_i, e_j)_l."""
-        return _brackets_tensor_raw(self.c, self.n)
+        return _tensor(brackets(self.n), self.c.reshape(-1))
 
     def mu(self, x, y) -> np.ndarray:
         """Evaluate mu(x, y)."""

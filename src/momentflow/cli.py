@@ -325,8 +325,11 @@ def _cmd_project_sl(args) -> int:
     if args.eta is None:
         raise UsageError("--eta is required")
     raw = _maybe_file(args.eta)
-    eta = tuple(Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12)
-                for x in raw)
+    try:
+        eta = tuple(Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12)
+                    for x in raw)
+    except OverflowError as exc:  # Fraction(inf); Fraction(nan) raises ValueError
+        raise ValueError(str(exc)) from exc
     out = hesselink.project_to_sl(eta)
     _emit_json({"eta": [_fraction_str(x) for x in eta], "eta_sl": [_fraction_str(x) for x in out]})
     return 0

@@ -61,8 +61,10 @@ class FlowParams:
     renormalize: bool = True
 
     def __post_init__(self):
-        if self.dt0 <= 0 or self.t_max <= 0 or self.max_steps <= 0 or self.sample_stride <= 0:
-            raise ValueError("flow parameters must be positive")
+        # comparisons fail on NaN, so NaN is rejected; t_max may be inf
+        if not (0 < self.dt0 < np.inf and self.t_max > 0 and self.max_steps > 0
+                and self.sample_stride > 0):
+            raise ValueError("flow parameters must be positive, and dt0 finite")
         if not (0 < self.residual_tol < 1):
             raise ValueError("residual_tol must lie in (0, 1)")
 
@@ -326,6 +328,8 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     relative deviations of v(t) from rho(h(t)) vbar and of S(t) from
     h(t)^T h(t) over the horizon.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if params is None:
         params = FlowParams()
     params = replace(params, t_max=float(t_horizon), renormalize=False)

@@ -19,9 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import CartanContext
-from .reps import (ADJOINT, BRACKETS, DUAL, LAMBDA2, STANDARD, TORUS_WEIGHTS,
-                   RepSpec, RepVector, apply_group, apply_lie, brackets_tensor,
-                   lambda2_to_matrix, rep_vector)
+from .reps import (ADJOINT, DUAL, LAMBDA2, STANDARD, TORUS_WEIGHTS, RepSpec, RepVector,
+                   _lie, apply_group, brackets_tensor, lambda2_to_matrix)
 
 __all__ = [
     "MomentValue",
@@ -61,29 +60,26 @@ class RepAction:
     each a contiguous array with one slot per nonzero entry: the (i, j)
     entry of the matrix of pi(B_k) is ``value``.  The entries are ordered by
     k, then by column j, then by row i; the contractions sum in that order,
-    so it fixes the last bits of every result.  Each pi(B_k) is built one
-    column at a time with ``apply_lie`` and only its nonzeros are kept, so
-    the dense dim_p x dim x dim stack (0.1-0.8 % nonzero for brackets) is
-    never formed.  With t = value * v[j] per entry, the moment coefficients
-    are the sums of t * v[i] over each k, divided by |v|^2, and the gradient
-    pi(m(v)) v sums coeff[k] * t over each row i.
+    so it fixes the last bits of every result.  Each pi(B_k) is built by one
+    batched ``reps._lie`` call on all basis vectors at once, not column by
+    column, and only its nonzeros are kept, so the dense dim_p x dim x dim
+    stack (0.1-0.8 % nonzero for brackets) is never formed.  With
+    t = value * v[j] per entry, the moment coefficients are the sums of
+    t * v[i] over each k, divided by |v|^2, and the gradient pi(m(v)) v
+    sums coeff[k] * t over each row i.
     """
 
     def __init__(self, ctx: CartanContext, spec: RepSpec):
         if ctx.n != spec.n:
             raise ValueError(f"context size {ctx.n} != representation size {spec.n}")
-        d = spec.dim
-        basis = np.eye(d)
+        basis = np.eye(spec.dim)
         parts = []
         # only the diagonal prefix of the p-basis acts on a torus module
         acting = ctx.a_dim if spec.family == TORUS_WEIGHTS else ctx.dim_p
         for k in range(acting):
-            b = ctx.p_basis[k]
-            block = np.zeros((d, d))  # pi(B_k), one d x d matrix at a time
-            for col in range(d):
-                block[:, col] = apply_lie(spec, b, rep_vector(spec, basis[col])).coords
-            cols, rows = np.nonzero(block.T)  # column-major: by column, then row
-            parts.append((np.full(cols.size, k), rows, cols, block[rows, cols]))
+            columns = _lie(spec, ctx.p_basis[k], basis)  # row j is pi(B_k) e_j
+            cols, rows = np.nonzero(columns)  # by column, then row
+            parts.append((np.full(cols.size, k), rows, cols, columns[cols, rows]))
         nnz = sum(p[0].size for p in parts)
         stack = np.zeros((), dtype=[("k", np.intp, (nnz,)), ("i", np.intp, (nnz,)),
                                     ("j", np.intp, (nnz,)), ("value", float, (nnz,))])

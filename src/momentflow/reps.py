@@ -1,26 +1,30 @@
 """Representation catalog for GL_n(R).
 
-Five built-in families plus user-supplied diagonal-torus weight lists:
+Five built-in families, each a space of tensors T with one index per slot,
+plus user-supplied diagonal-torus weight lists.  ``_SLOTS`` holds the slot
+signs of each family: a +1 slot carries g (Lie algebra: X), a -1 slot
+carries g^{-T} (Lie algebra: -X^T).
 
-* ``Standard``   -- R^n, g.v = gv
-* ``Dual``       -- functionals, g.v = v o g^{-1}, so pi(X) = -X^T on coordinates
-* ``Adjoint``    -- gl_n with conjugation, pi(X) = [X, .]
-* ``Lambda2``    -- skew matrices A via x ^ y -> x y^T - y x^T, g.A = g A g^T
-* ``Brackets``   -- antisymmetric bilinear maps mu: R^n x R^n -> R^n,
-                    (g.mu)(x, y) = g mu(g^{-1}x, g^{-1}y)
+* ``Standard``  (1,)        -- R^n, g.v = gv
+* ``Dual``      (-1,)       -- functionals, g.v = v o g^{-1}, so pi(X) = -X^T
+* ``Adjoint``   (1, -1)     -- gl_n with conjugation, pi(X) = [X, .]
+* ``Lambda2``   (1, 1)      -- skew matrices A via x ^ y -> x y^T - y x^T,
+                               g.A = g A g^T
+* ``Brackets``  (1, -1, -1) -- antisymmetric bilinear maps mu: R^n x R^n -> R^n,
+                               T[l, i, j] = mu(e_i, e_j)_l,
+                               (g.mu)(x, y) = g mu(g^{-1}x, g^{-1}y)
 * ``TorusWeights`` -- an abstract torus module given by its weight list;
                     only diagonal group/Lie arguments act
 
-Coordinates are fixed so that the invariant inner product on each space is
-the plain dot product of coordinate vectors:
-
-* Standard/Dual: the unit vectors e_i (resp. the dual basis).
-* Adjoint: elementary matrices E_ij, row-major, so <x, y> = tr(x^T y).
-* Lambda2: the matrices E_ij - E_ji for i < j (lexicographic), orthonormal
-  for <A, B> = -tr(AB)/2.
-* Brackets: structure constants c^l_{ij} for i < j (pairs lexicographic,
-  target index l fastest) scaled by sqrt(2), matching the inner product
-  <mu, mu'> = sum over *ordered* pairs (i, j) of <mu(e_i,e_j), mu'(e_i,e_j)>.
+Lambda2 and Brackets are antisymmetric in their last two slots.  Coordinates
+run over the pairs i < j of those slots first (lexicographic), then over the
+other slots row-major, the last fastest: Adjoint uses E_ij row-major, Lambda2
+E_ij - E_ji, Brackets c^l_{ij} with pairs outer and target l fastest, scaled
+by sqrt(2).  Dimension, weights, the Lie action and the coordinate bridges
+all derive from the slot signs and this rule.  The invariant inner product
+on each space is then the plain dot product of coordinates: tr(x^T y) on
+gl_n, -tr(AB)/2 on skew matrices, and for brackets the sum over *ordered*
+pairs (i, j) of <mu(e_i,e_j), mu'(e_i,e_j)>.
 """
 
 from __future__ import annotations
@@ -69,8 +73,31 @@ def canonical_family(name: str) -> str:
     return _CANON[key]
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+# slot signs of each built-in family; see the module docstring.  The +1
+# slots come first, so a slot-order sum adds them before it subtracts the
+# -1 slots: the pi(B_k) operators depend on that order in their last bits
+_SLOTS = {STANDARD: (1,), DUAL: (-1,), ADJOINT: (1, -1), LAMBDA2: (1, 1), BRACKETS: (1, -1, -1)}
+_SKEW = (LAMBDA2, BRACKETS)  # antisymmetric in their last two slots
+
+
+@lru_cache(maxsize=None)
+def _index(family: str, n: int) -> tuple:
+    """``(shape, idx, swapped)``: coordinate k is the entry T[idx][k] of the
+    tensor, idx = (..., i_1, ..., i_r) in the coordinate order of the module
+    docstring; ``swapped`` exchanges the last two slots of an antisymmetric
+    family (the entries holding -c) and is None for the others."""
+    r = len(_SLOTS[family])
+    free = r - 2 if family in _SKEW else r
+    rest = np.indices((n,) * free).reshape(free, n ** free)
+    swapped = None
+    if family in _SKEW:
+        iu, ju = np.triu_indices(n, 1)
+        rest = [np.tile(s, iu.size) for s in rest] + [np.repeat(iu, n ** free),
+                                                       np.repeat(ju, n ** free)]
+        swapped = (Ellipsis, *rest[:-2], rest[-1], rest[-2])
+    for s in rest:
+        s.flags.writeable = False
+    return (n,) * r, (Ellipsis, *rest), swapped
 
 
 @dataclass(frozen=True)
@@ -102,16 +129,12 @@ class RepSpec:
 
     @property
     def dim(self) -> int:
-        n = self.n
-        if self.family in (STANDARD, DUAL):
-            return n
-        if self.family == ADJOINT:
-            return n * n
-        if self.family == LAMBDA2:
-            return n * (n - 1) // 2
-        if self.family == BRACKETS:
-            return n * (n * (n - 1) // 2)
-        return len(self.weights)
+        if self.family == TORUS_WEIGHTS:
+            return len(self.weights)
+        n, r = self.n, len(_SLOTS[self.family])
+        if self.family in _SKEW:
+            return n ** (r - 2) * (n * (n - 1) // 2)
+        return n ** r
 
 
 def standard(n: int) -> RepSpec:
@@ -195,30 +218,33 @@ def adjoint_from_matrix(x) -> RepVector:
     return RepVector(adjoint(n), x.reshape(-1))
 
 
-@lru_cache(maxsize=None)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of ``_pairs(n)``."""
-    return np.triu_indices(n, 1)
+def _tensor(spec: RepSpec, c: np.ndarray) -> np.ndarray:
+    """Tensor of raw coordinates c (leading batch axes allowed), in
+    coordinate scale: the sqrt(2) of Brackets is left in place, so the
+    linear actions keep exact inputs exact."""
+    shape, idx, swapped = _index(spec.family, spec.n)
+    t = np.zeros(c.shape[:-1] + shape)
+    t[idx] = c
+    if swapped is not None:
+        t[swapped] = -c
+    return t
 
 
-def _lambda2_matrix(coords: np.ndarray, n: int) -> np.ndarray:
-    iu, ju = _triu(n)
-    a = np.zeros((n, n))
-    a[iu, ju] = coords
-    a[ju, iu] = -coords
-    return a
+def _coords(spec: RepSpec, t: np.ndarray) -> np.ndarray:
+    """Raw coordinates of a tensor; inverse of ``_tensor``."""
+    return t[_index(spec.family, spec.n)[1]]
 
 
 def lambda2_to_matrix(v: RepVector) -> np.ndarray:
     if v.spec.family != LAMBDA2:
         raise ValueError("not a Lambda2 vector")
-    return _lambda2_matrix(v.coords, v.spec.n)
+    return _tensor(v.spec, v.coords)
 
 
 def lambda2_from_matrix(a) -> RepVector:
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    return RepVector(lambda2(n), a[_triu(n)])
+    spec = lambda2(a.shape[0])
+    return RepVector(spec, _coords(spec, a))
 
 
 def lambda2_embed(x, y) -> RepVector:
@@ -236,29 +262,13 @@ def brackets_tensor(v: RepVector) -> np.ndarray:
     """
     if v.spec.family != BRACKETS:
         raise ValueError("not a Brackets vector")
-    return _brackets_tensor_raw(v.coords / SQRT2, v.spec.n)
+    return _tensor(v.spec, v.coords / SQRT2)
 
 
 def brackets_from_tensor(t) -> RepVector:
     t = np.asarray(t, dtype=float)
-    n = t.shape[0]
-    return RepVector(brackets(n), SQRT2 * _brackets_coords_raw(t, n))
-
-
-def _brackets_tensor_raw(coords: np.ndarray, n: int) -> np.ndarray:
-    # tensor in coordinate scale (sqrt(2) factor left in place); the group
-    # and Lie actions are linear, so skipping the scale round-trip keeps
-    # exact inputs exact
-    iu, ju = _triu(n)
-    c = coords.reshape(-1, n).T
-    t = np.zeros((n, n, n))
-    t[:, iu, ju] = c
-    t[:, ju, iu] = -c
-    return t
-
-
-def _brackets_coords_raw(t: np.ndarray, n: int) -> np.ndarray:
-    return t[(slice(None),) + _triu(n)].T.reshape(-1)
+    spec = brackets(t.shape[0])
+    return RepVector(spec, SQRT2 * _coords(spec, t))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +318,9 @@ def _act(spec: RepSpec, g: np.ndarray, ginv: np.ndarray | None, c: np.ndarray) -
     if fam == ADJOINT:
         return (g @ c.reshape(n, n) @ ginv).reshape(-1)
     if fam == LAMBDA2:
-        return (g @ _lambda2_matrix(c, n) @ g.T)[_triu(n)]
+        return _coords(spec, g @ _tensor(spec, c) @ g.T)
     if fam == BRACKETS:
-        t = np.einsum("lm,mab,ai,bj->lij", g, _brackets_tensor_raw(c, n), ginv, ginv)
-        return _brackets_coords_raw(t, n)
+        return _coords(spec, np.einsum("lm,mab,ai,bj->lij", g, _tensor(spec, c), ginv, ginv))
     chi = np.array(spec.weights, dtype=float)
     return np.prod(np.diagonal(g)[None, :] ** chi, axis=1) * c
 
@@ -338,36 +347,32 @@ def apply_group(spec: RepSpec, g, v: RepVector) -> RepVector:
     return RepVector(spec, _act(spec, g, ginv, v.coords))
 
 
+def _lie(spec: RepSpec, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """pi(X) on raw coordinates c, with any leading batch axes and no checks.
+
+    Slot s acts by X or -X^T as its sign says; the slots' einsums are
+    accumulated in place, in slot order.
+    """
+    if spec.family == TORUS_WEIGHTS:
+        return (np.array(spec.weights, dtype=float) @ np.diagonal(x)) * c
+    signs = _SLOTS[spec.family]
+    t = _tensor(spec, c)
+    out = np.zeros_like(t)
+    axes = "abc"[:len(signs)]
+    for s, sign in enumerate(signs):
+        m = x if sign > 0 else -x.T
+        out += np.einsum(f"{axes[s]}m,...{axes[:s]}m{axes[s + 1:]}->...{axes}", m, t)
+    return _coords(spec, out)
+
+
 def apply_lie(spec: RepSpec, x, v: RepVector) -> RepVector:
     """Apply pi(X) = (d/dt) rho(exp tX)|_0 to v."""
     if v.spec != spec:
         raise ValueError("vector does not belong to spec")
     x = _check_square(x, spec.n, "X")
-    c = v.coords
-    fam = spec.family
-
-    if fam == STANDARD:
-        out = x @ c
-    elif fam == DUAL:
-        out = -x.T @ c
-    elif fam == ADJOINT:
-        n = spec.n
-        m = c.reshape(n, n)
-        out = (x @ m - m @ x).reshape(-1)
-    elif fam == LAMBDA2:
-        a = lambda2_to_matrix(v)
-        return lambda2_from_matrix(x @ a + a @ x.T)
-    elif fam == BRACKETS:
-        t = _brackets_tensor_raw(c, spec.n)
-        t = (np.einsum("lm,mij->lij", x, t)
-             - np.einsum("lmj,mi->lij", t, x)
-             - np.einsum("lim,mj->lij", t, x))
-        out = _brackets_coords_raw(t, spec.n)
-    else:  # TORUS_WEIGHTS
-        d = _diagonal_or_raise(x, "X")
-        chi = np.array(spec.weights, dtype=float)
-        out = (chi @ d) * c
-    return RepVector(spec, out)
+    if spec.family == TORUS_WEIGHTS:
+        _diagonal_or_raise(x, "X")
+    return RepVector(spec, _lie(spec, x, v.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +380,17 @@ def apply_lie(spec: RepSpec, x, v: RepVector) -> RepVector:
 
 
 def weights_of(spec: RepSpec) -> list[tuple[int, ...]]:
-    """Diagonal-torus weight of each coordinate, in coordinate order."""
-    n = spec.n
-    fam = spec.family
-    if fam == STANDARD:
-        return [tuple(int(i == k) for k in range(n)) for i in range(n)]
-    if fam == DUAL:
-        return [tuple(-int(i == k) for k in range(n)) for i in range(n)]
-    if fam == ADJOINT:
-        out = []
-        for i in range(n):
-            for j in range(n):
-                out.append(tuple(int(i == k) - int(j == k) for k in range(n)))
-        return out
-    if fam == LAMBDA2:
-        return [tuple(int(k == i) + int(k == j) for k in range(n)) for (i, j) in _pairs(n)]
-    if fam == BRACKETS:
-        out = []
-        for (i, j) in _pairs(n):
-            for l in range(n):
-                out.append(tuple(int(k == l) - int(k == i) - int(k == j) for k in range(n)))
-        return out
-    return [tuple(w) for w in spec.weights]
+    """Diagonal-torus weight of each coordinate, in coordinate order: the
+    sum over slots of the slot sign times the unit vector of the slot's
+    index."""
+    if spec.family == TORUS_WEIGHTS:
+        return [tuple(w) for w in spec.weights]
+    _, idx, _ = _index(spec.family, spec.n)
+    w = np.zeros((spec.dim, spec.n), dtype=int)
+    rows = np.arange(spec.dim)
+    for i, sign in zip(idx[1:], _SLOTS[spec.family]):
+        w[rows, i] += sign
+    return list(map(tuple, w.tolist()))
 
 
 def weight_component_indices(spec: RepSpec) -> dict[tuple[int, ...], np.ndarray]:

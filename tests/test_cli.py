@@ -170,6 +170,27 @@ def test_project_sl_empty_eta_exit_1(capsys):
     assert "error: cannot project an empty label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN"])
+def test_project_sl_non_finite_eta_exit_1(capsys, entry):
+    code = run(["project-sl", "--eta", f"[{entry}, 1]"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error: cannot convert")
+
+
+@pytest.mark.parametrize("cmd, flag", [(cmd, flag) for cmd in ("flow", "verify-flows")
+                                       for flag in ("--t-max", "--dt0", "--tol")]
+                         + [("verify-flows", "--match-tol")])
+def test_nan_flow_settings_exit_1(capsys, cmd, flag):
+    # NaN used to pass the positivity checks: the flow integrated nothing
+    # and verify-flows printed "passed": true with a bare NaN
+    vector = "[1,2,0.5,-1,0.3,2,0,1,-2]"
+    code = run([cmd, "--family", "adjoint", "--n", "3", "--vector", vector, flag, "nan"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error: ") and "coordinates" not in out.err
+
+
 def test_torus_weights_via_flag(capsys):
     code, doc = _capture_json(capsys, [
         "label", "--weights", "[[1,0],[0,1]]", "--vector", "[1,1]"])

@@ -130,6 +130,12 @@ def test_flow_params_validation():
         FlowParams(residual_tol=2.0)
     with pytest.raises(ValueError):
         FlowParams(max_steps=0)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"dt0": nan}, {"t_max": nan}, {"residual_tol": nan}, {"max_steps": nan},
+                {"sample_stride": nan}, {"dt0": inf}, {"t_max": -inf}, {"residual_tol": inf}):
+        with pytest.raises(ValueError):
+            FlowParams(**bad)
+    assert FlowParams(t_max=inf).t_max == inf
 
 
 def test_zero_vector_rejected():

@@ -327,7 +327,22 @@ def test_sparse_operator_matches_apply_lie(rng, group, n):
         assert np.array_equal(both[1], act.gradient(v.coords))
 
 
-def test_sparse_operator_build_is_deterministic_and_ordered():
+def _pi_entries_by_columns(ctx, spec):
+    """The pi build written out: pi(B_k) one basis column at a time through
+    the public apply_lie, nonzeros by k, then column j, then row i."""
+    acting = ctx.a_dim if spec.family == "TorusWeights" else ctx.dim_p
+    basis = np.eye(spec.dim)
+    entries = {"k": [], "i": [], "j": [], "value": []}
+    for k in range(acting):
+        for j in range(spec.dim):
+            column = apply_lie(spec, ctx.p_basis[k], rep_vector(spec, basis[j])).coords
+            for i in np.flatnonzero(column):
+                for field, x in zip(entries, (k, i, j, column[i])):
+                    entries[field].append(x)
+    return {f: np.array(x, dtype=float if f == "value" else np.intp) for f, x in entries.items()}
+
+
+def test_sparse_operator_build_is_deterministic_and_ordered(rng):
     from momentflow.momentmap import RepAction
     ctx = build_context(4, "SL")
     for spec in matrix_families(4):
@@ -337,6 +352,15 @@ def test_sparse_operator_build_is_deterministic_and_ordered():
         order = np.lexsort((a["i"], a["j"], a["k"]))
         assert np.array_equal(order, np.arange(order.size))
         assert np.all(a["value"] != 0.0)
+    # the batched build equals the column-by-column one, byte for byte
+    for n in range(2, 7):
+        for group in ("GL", "SL"):
+            ctx = build_context(n, group)
+            for spec in matrix_families(n) + [_torus_module(rng, n)]:
+                stack = RepAction(ctx, spec).pi_stack
+                want = _pi_entries_by_columns(ctx, spec)
+                for field, column in want.items():
+                    assert stack[field].tobytes() == column.tobytes(), (spec, group, field)
 
 
 def test_sparse_operator_is_never_dense():

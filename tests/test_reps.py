@@ -87,6 +87,24 @@ def test_weights_of_families():
     assert weights_of(lambda2(3)) == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
     adj = weights_of(adjoint(2))
     assert adj == [(0, 0), (1, -1), (-1, 1), (0, 0)]
+    # reference: the coordinate orders of the module docstring as explicit
+    # loops; slot signs (+1 for g, -1 for g^{-T}) add up to the weight
+    for n in range(1, 7):
+        def e(*signed):
+            return tuple(sum(sign for (sign, i) in signed if i == k) for k in range(n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        want = {
+            standard(n): [e((1, i)) for i in range(n)],
+            dual(n): [e((-1, i)) for i in range(n)],
+            adjoint(n): [e((1, i), (-1, j)) for i in range(n) for j in range(n)],
+            lambda2(n): [e((1, i), (1, j)) for (i, j) in pairs],
+            brackets(n): [e((1, l), (-1, i), (-1, j)) for (i, j) in pairs for l in range(n)],
+        }
+        for spec, ws in want.items():
+            got = weights_of(spec)
+            assert spec.dim == len(ws) == rep_dim(spec), (spec, n)
+            assert got == ws, (spec, n)
+            assert all(type(x) is int for w in got for x in w)  # plain ints, for JSON
 
 
 def test_weight_components():
