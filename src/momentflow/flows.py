@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cartan import CartanContext, _spd_root, _spd_root_and_inverse
+from .cartan import CartanContext, _check_symmetric, _spd_root, _spd_root_and_inverse
 from .momentmap import MomentValue, _energy_and_residual, _moment_matrix, moment, rep_action
 from .reps import (TORUS_WEIGHTS, RepSpec, RepVector, _act, _diagonal_or_raise, _invert,
                    apply_group, rep_vector)
@@ -77,9 +77,7 @@ class SpdMetric:
 
     def __post_init__(self):
         s = np.ascontiguousarray(self.S, dtype=float)
-        scale = max(1.0, float(np.abs(s).max(initial=0.0)))
-        if np.abs(s - s.T).max(initial=0.0) > 1e-12 * scale:
-            raise ValueError("metric must be symmetric")
+        _check_symmetric(s, "metric", 1e-12)
         if np.linalg.eigvalsh(s)[0] <= 0.0:
             raise ValueError("metric must be positive definite")
         s.flags.writeable = False
@@ -332,7 +330,7 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
         raise ValueError("tol must be positive")
     if params is None:
         params = FlowParams()
-    params = replace(params, t_max=float(t_horizon), renormalize=False)
+    params = replace(params, t_max=float(t_horizon))
     act = rep_action(ctx, spec)
     n = ctx.n
     h0 = np.asarray(h0, dtype=float)

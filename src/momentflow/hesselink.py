@@ -17,11 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import CartanContext, weyl_normalize
-from .minnorm import (RationalVector, _feasible_affine_minimizers, min_norm_point,
+from .minnorm import (RationalVector, _dot, _feasible_affine_minimizers, min_norm_point,
                       to_rational_vector)
 from .momentmap import MomentValue
-from .reps import (RepSpec, RepVector, rep_vector, weight_component_indices,
-                   weight_components, weights_of)
+from .reps import RepSpec, RepVector, _weight_spaces, rep_vector, weight_components
 
 __all__ = [
     "MINUS_INFINITY",
@@ -81,7 +80,7 @@ MINUS_INFINITY = _MinusInfinity()
 
 def state_of(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12) -> list[tuple[int, ...]]:
     """Weights whose components of v are nonzero, lexicographically sorted."""
-    return sorted(weight_components(spec, v, zero_tol).keys())
+    return list(weight_components(spec, v, zero_tol))
 
 
 def instability_measure(state, eta):
@@ -91,7 +90,7 @@ def instability_measure(state, eta):
     if not state:
         raise ValueError("empty state")
     eta = to_rational_vector(eta)
-    m = min(sum((a * b for a, b in zip(chi, eta)), Fraction(0)) for chi in state)
+    m = min(_dot(chi, eta) for chi in state)
     return MINUS_INFINITY if m < 0 else m
 
 
@@ -113,7 +112,7 @@ class HesselinkLabel:
     @classmethod
     def from_eta(cls, eta) -> "HesselinkLabel":
         eta = weyl_normalize(to_rational_vector(eta))
-        q = sum((x * x for x in eta), Fraction(0))
+        q = _dot(eta, eta)
         if q == 0:
             raise ValueError("the zero class is not a label; it marks semistability")
         beta = np.diag([float(x) for x in eta])
@@ -153,7 +152,7 @@ def enumerate_labels(spec: RepSpec, max_weight_count: int = 20) -> LabelEnumerat
     weight sets above ``max_weight_count``: the enumeration is exponential
     and silent sampling would corrupt closure-order reasoning downstream.
     """
-    distinct = sorted(set(weights_of(spec)))
+    distinct = list(_weight_spaces(spec)[1])
     if len(distinct) > max_weight_count:
         raise ValueError(f"{len(distinct)} distinct weights exceed the cap "
                          f"{max_weight_count}; raise max_weight_count explicitly "
@@ -171,9 +170,11 @@ class StratumReport:
 
     ``grading`` maps each state weight chi to r(chi) = <chi, eta> - q, the
     eigenvalue of the shifted torus generator on that weight space.  ``v0``
-    is the projection of v onto the r = 0 coordinates.  ``in_U_ge0`` adds
-    the semistability of v0 for the hyperplane torus orthogonal to eta
-    (tested as: zero lies in the hull of the projected state).
+    keeps the components of v on the state weights with r = 0 and zeroes
+    the rest.  ``in_U_ge0`` adds the semistability of v0 for the hyperplane
+    torus orthogonal to eta (tested as: zero lies in the hull of the r = 0
+    state weights projected onto that hyperplane).  The grading, v0 and
+    ``in_U_ge0`` all read the one state of v cut at ``zero_tol * ||v||``.
     """
 
     beta: np.ndarray
@@ -196,29 +197,21 @@ def stratum_membership(spec: RepSpec, v: RepVector, label: HesselinkLabel,
     if label.q <= 0:
         raise ValueError("membership needs a nonzero label")
     eta, q = label.eta, label.q
-
-    grading: dict[tuple[int, ...], Fraction] = {}
-    for chi in state_of(spec, v, zero_tol):
-        grading[chi] = sum((a * b for a, b in zip(chi, eta)), Fraction(0)) - q
+    components = weight_components(spec, v, zero_tol)
+    grading = {chi: _dot(chi, eta) - q for chi in components}
     in_v = all(r >= 0 for r in grading.values())
+    level = [chi for chi, r in grading.items() if r == 0]
 
+    spaces = _weight_spaces(spec)[1]
     coords0 = np.zeros_like(v.coords)
-    for w, idx in weight_component_indices(spec).items():
-        if sum((a * b for a, b in zip(w, eta)), Fraction(0)) == q:
-            coords0[idx] = v.coords[idx]
+    for chi in level:
+        coords0[spaces[chi]] = components[chi]
     v0 = rep_vector(spec, coords0)
 
-    in_u = False
-    if in_v and v0.norm > zero_tol * v.norm:
-        # project the state of v0 onto the hyperplane orthogonal to eta;
-        # semistability there is "zero in the hull" (Hilbert-Mumford for
-        # the subtorus).
-        projected = []
-        for chi in state_of(spec, v0, zero_tol):
-            chi = to_rational_vector(chi)
-            t = sum((a * b for a, b in zip(chi, eta)), Fraction(0)) / q
-            projected.append(tuple(a - t * b for a, b in zip(chi, eta)))
-        in_u = min_norm_point(projected).is_zero
+    # Hilbert-Mumford for the subtorus orthogonal to eta: zero in the hull of
+    # the level projected along eta, chi - (<chi, eta>/q) eta = chi - eta
+    in_u = in_v and bool(level) and min_norm_point(
+        [tuple(a - b for a, b in zip(chi, eta)) for chi in level]).is_zero
     return StratumReport(beta=label.beta, q=q, grading=grading,
                          in_V_ge0=in_v, v0=v0, in_U_ge0=in_u)
 
@@ -245,6 +238,8 @@ def kn_label_via_flow(ctx: CartanContext, spec: RepSpec, v: RepVector,
     """
     from .flows import FlowParams, gradient_flow
 
+    if not match_tol > 0:
+        raise ValueError("match_tol must be positive")
     label = optimal_class(spec, v)
     if label is None:
         raise ValueError("v is torus-semistable; the flow comparison needs an unstable vector")
@@ -265,7 +260,7 @@ def project_to_sl(eta) -> RationalVector:
     eta = to_rational_vector(eta)
     if not eta:
         raise ValueError("cannot project an empty label")
-    shift = sum(eta, Fraction(0)) / len(eta)
+    shift = sum(eta) / len(eta)
     return tuple(x - shift for x in eta)
 
 

@@ -21,10 +21,11 @@ run over the pairs i < j of those slots first (lexicographic), then over the
 other slots row-major, the last fastest: Adjoint uses E_ij row-major, Lambda2
 E_ij - E_ji, Brackets c^l_{ij} with pairs outer and target l fastest, scaled
 by sqrt(2).  Dimension, weights, the Lie action and the coordinate bridges
-all derive from the slot signs and this rule.  The invariant inner product
-on each space is then the plain dot product of coordinates: tr(x^T y) on
-gl_n, -tr(AB)/2 on skew matrices, and for brackets the sum over *ordered*
-pairs (i, j) of <mu(e_i,e_j), mu'(e_i,e_j)>.
+all derive from the slot signs and this rule; the weights and weight spaces
+of a spec are built once and cached.  The invariant inner product on each
+space is then the plain dot product of coordinates: tr(x^T y) on gl_n,
+-tr(AB)/2 on skew matrices, and for brackets the sum over *ordered* pairs
+(i, j) of <mu(e_i,e_j), mu'(e_i,e_j)>.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +45,7 @@ __all__ = [
     "standard", "dual", "adjoint", "lambda2", "brackets", "torus_weights",
     "rep_dim", "rep_vector",
     "apply_group", "apply_lie",
-    "weights_of", "weight_components", "weight_component_indices",
+    "weights_of", "weight_components",
     "lambda2_embed",
     "adjoint_from_matrix", "adjoint_to_matrix",
     "lambda2_from_matrix", "lambda2_to_matrix",
@@ -321,8 +323,7 @@ def _act(spec: RepSpec, g: np.ndarray, ginv: np.ndarray | None, c: np.ndarray) -
         return _coords(spec, g @ _tensor(spec, c) @ g.T)
     if fam == BRACKETS:
         return _coords(spec, np.einsum("lm,mab,ai,bj->lij", g, _tensor(spec, c), ginv, ginv))
-    chi = np.array(spec.weights, dtype=float)
-    return np.prod(np.diagonal(g)[None, :] ** chi, axis=1) * c
+    return np.prod(np.diagonal(g)[None, :] ** _weight_spaces(spec)[0], axis=1) * c
 
 
 def apply_group(spec: RepSpec, g, v: RepVector) -> RepVector:
@@ -354,7 +355,7 @@ def _lie(spec: RepSpec, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     accumulated in place, in slot order.
     """
     if spec.family == TORUS_WEIGHTS:
-        return (np.array(spec.weights, dtype=float) @ np.diagonal(x)) * c
+        return (_weight_spaces(spec)[0] @ np.diagonal(x)) * c
     signs = _SLOTS[spec.family]
     t = _tensor(spec, c)
     out = np.zeros_like(t)
@@ -379,26 +380,31 @@ def apply_lie(spec: RepSpec, x, v: RepVector) -> RepVector:
 # torus weights
 
 
-def weights_of(spec: RepSpec) -> list[tuple[int, ...]]:
-    """Diagonal-torus weight of each coordinate, in coordinate order: the
-    sum over slots of the slot sign times the unit vector of the slot's
-    index."""
+@lru_cache(maxsize=None)
+def _weight_spaces(spec: RepSpec) -> tuple:
+    """``(w, spaces)``, built once per spec: w[k] is the diagonal-torus
+    weight of coordinate k (a read-only int array), the sum over slots of
+    the slot sign times the unit vector of the slot's index; ``spaces`` maps
+    each distinct weight, in lexicographic order, to the read-only array of
+    its coordinate indices."""
     if spec.family == TORUS_WEIGHTS:
-        return [tuple(w) for w in spec.weights]
-    _, idx, _ = _index(spec.family, spec.n)
-    w = np.zeros((spec.dim, spec.n), dtype=int)
-    rows = np.arange(spec.dim)
-    for i, sign in zip(idx[1:], _SLOTS[spec.family]):
-        w[rows, i] += sign
-    return list(map(tuple, w.tolist()))
+        w = np.array(spec.weights, dtype=int)
+    else:
+        _, idx, _ = _index(spec.family, spec.n)
+        w = np.zeros((spec.dim, spec.n), dtype=int)
+        rows = np.arange(spec.dim)
+        for i, sign in zip(idx[1:], _SLOTS[spec.family]):
+            w[rows, i] += sign
+    spaces = {chi: np.flatnonzero((w == chi).all(axis=1))
+              for chi in sorted(set(map(tuple, w.tolist())))}
+    for a in (w, *spaces.values()):
+        a.flags.writeable = False
+    return w, MappingProxyType(spaces)
 
 
-def weight_component_indices(spec: RepSpec) -> dict[tuple[int, ...], np.ndarray]:
-    """Coordinate indices grouped by weight, keys in lexicographic order."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, w in enumerate(weights_of(spec)):
-        groups.setdefault(w, []).append(k)
-    return {w: np.array(groups[w], dtype=int) for w in sorted(groups)}
+def weights_of(spec: RepSpec) -> list[tuple[int, ...]]:
+    """Diagonal-torus weight of each coordinate, in coordinate order."""
+    return list(map(tuple, _weight_spaces(spec)[0].tolist()))
 
 
 def weight_components(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12
@@ -414,7 +420,7 @@ def weight_components(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12
     if nrm == 0.0:
         raise ValueError("zero vector has no state")
     out: dict[tuple[int, ...], np.ndarray] = {}
-    for w, idx in weight_component_indices(spec).items():
+    for w, idx in _weight_spaces(spec)[1].items():
         sub = v.coords[idx]
         if np.linalg.norm(sub) > zero_tol * nrm:
             out[w] = sub

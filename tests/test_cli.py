@@ -100,6 +100,32 @@ def test_label_stratum_round_trip(capsys, monkeypatch):
     assert doc["grading"] == [{"weight": [1, -1], "r": "0/1"}]
 
 
+def test_stratum_state_cut_torus(capsys):
+    # the r = 0 weight (1, -1) carries 1e-13, below zero_tol * ||v||, so it is
+    # neither graded nor copied into v0, and v0 is not hyperplane-semistable
+    code, doc = _capture_json(capsys, [
+        "stratum", "--weights", "[[2,0],[1,0],[1,1],[1,-1]]", "--vector", "[1,0,1e-3,1e-13]",
+        "--label", '{"eta":[1,0]}'])
+    assert code == 0
+    assert doc["grading"] == [{"weight": [1, 1], "r": "0/1"}, {"weight": [2, 0], "r": "1/1"}]
+    assert doc["in_V_ge0"] is True
+    assert doc["v0_coords"] == [0.0, 0.0, 0.001, 0.0]
+    assert doc["in_U_ge0"] is False
+
+
+# stdout of the exact-arithmetic subcommands, recorded once: these print
+# rationals, integers, booleans and input floats copied through, so the
+# bytes do not depend on the platform.  A change that alters one of them on
+# purpose says so and records the file again.
+_GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _GOLDEN,
+                         ids=[f"{case['argv'][0]}-{k}" for k, case in enumerate(_GOLDEN)])
+def test_exact_subcommand_stdout_pinned(capsys, case):
+    assert _capture(capsys, case["argv"]) == (0, case["stdout"])
+
+
 def test_verify_flows_deterministic(capsys):
     argv = ["verify-flows", "--family", "standard", "--n", "2",
             "--vector", "[1,0]", "--t-max", "2", "--seed", "5"]

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentflow import (MINUS_INFINITY, adjoint, adjoint_from_matrix, apply_group,
@@ -15,7 +15,7 @@ from momentflow import (MINUS_INFINITY, adjoint, adjoint_from_matrix, apply_grou
                         torus_weights, weights_of, weyl_normalize)
 from momentflow.bracket import bracket_preset
 from momentflow.hesselink import HesselinkLabel
-from momentflow.minnorm import min_norm_point
+from momentflow.minnorm import min_norm_point, min_norm_point_by_enumeration
 
 from conftest import random_vector
 
@@ -297,6 +297,58 @@ def test_stratum_membership_standard_family():
     assert not rep.in_V_ge0
 
 
+def test_stratum_membership_reads_one_state_cut():
+    # (1, -1) has r = 0, but its component 1e-13 lies below zero_tol * ||v||:
+    # it is not in the state, so it stays out of v0 and out of the hull that
+    # decides in_U_ge0, which is then the single point (1, 1) - eta
+    spec = torus_weights([(2, 0), (1, 0), (1, 1), (1, -1)])
+    v = rep_vector(spec, [1.0, 0.0, 1e-3, 1e-13])
+    rep = stratum_membership(spec, v, HesselinkLabel.from_eta((1, 0)))
+    assert rep.grading == {(1, 1): F(0), (2, 0): F(1)}
+    assert rep.in_V_ge0
+    assert rep.v0.coords.tolist() == [0.0, 0.0, 1e-3, 0.0]
+    assert not rep.in_U_ge0
+
+
+def _stratum_oracle(spec, v, eta, q):
+    """Grading, v0 coordinates, in_V_ge0 and in_U_ge0 from the state of v;
+    the level weights all pair to q with eta, so v0 is semistable for the
+    hyperplane torus iff eta, the point of that hyperplane nearest zero, is
+    the minimum-norm point of their hull."""
+    state = state_of(spec, v)
+    grading = {chi: sum(F(a) * b for a, b in zip(chi, eta)) - q for chi in state}
+    level = [chi for chi in state if grading[chi] == 0]
+    coords0 = [c if w in level else 0.0 for w, c in zip(weights_of(spec), v.coords)]
+    in_v = all(r >= 0 for r in grading.values())
+    in_u = in_v and bool(level) and min_norm_point_by_enumeration(level)[0] == eta
+    return grading, coords0, in_v, in_u
+
+
+@st.composite
+def _torus_stratum_case(draw):
+    # magnitudes 1e-13 and 1e-3 put components on both sides of the cut
+    weights = draw(_torus_modules)
+    coords = draw(st.lists(st.sampled_from([0.0, 1e-13, -1e-13, 1e-3, 1.0, -2.0]),
+                           min_size=len(weights), max_size=len(weights)).filter(any))
+    subset = draw(st.lists(st.sampled_from(weights), min_size=1, max_size=4))
+    return torus_weights(weights), coords, min_norm_point(subset).eta
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_torus_stratum_case())
+def test_stratum_membership_matches_state_oracle(case):
+    spec, coords, eta = case
+    assume(any(eta))
+    v = rep_vector(spec, coords)
+    label = HesselinkLabel.from_eta(eta)
+    grading, coords0, in_v, in_u = _stratum_oracle(spec, v, label.eta, label.q)
+    rep = stratum_membership(spec, v, label)
+    assert rep.grading == grading
+    assert rep.v0.coords.tolist() == coords0
+    assert rep.in_V_ge0 == in_v
+    assert rep.in_U_ge0 == in_u
+
+
 def test_stratum_membership_errors():
     spec = adjoint(2)
     label = HesselinkLabel.from_eta((1, -1))
@@ -328,6 +380,13 @@ def test_kn_label_rejects_semistable():
     ctx = build_context(2, "GL")
     with pytest.raises(ValueError):
         kn_label_via_flow(ctx, adjoint(2), adjoint_from_matrix(np.eye(2)))
+
+
+@pytest.mark.parametrize("match_tol", [float("nan"), 0.0, -1e-5])
+def test_kn_label_rejects_non_positive_match_tol(match_tol):
+    ctx = build_context(2, "GL")
+    with pytest.raises(ValueError, match="match_tol must be positive"):
+        kn_label_via_flow(ctx, adjoint(2), adjoint_from_matrix(_e(2, 0, 1)), match_tol=match_tol)
 
 
 def test_project_to_sl():

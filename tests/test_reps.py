@@ -8,6 +8,7 @@ from momentflow import (adjoint, adjoint_from_matrix, apply_group, apply_lie,
                         torus_weights, vector_from_json, vector_to_json,
                         weight_components, weights_of)
 from momentflow.bracket import BracketTensor, bracket_preset
+from momentflow.reps import RepSpec, _weight_spaces
 
 from conftest import matrix_families, random_orthogonal, random_vector, random_well_conditioned
 
@@ -122,6 +123,21 @@ def test_weight_components():
 
     with pytest.raises(ValueError):
         weight_components(spec, adjoint_from_matrix(np.zeros((2, 2))))
+
+
+def test_weight_spaces_built_once_per_spec_and_read_only():
+    for spec in matrix_families(3) + [torus_weights([(2, 0), (1, 0), (1, 1), (1, -1), (1, 0)])]:
+        w, spaces = _weight_spaces(spec)
+        # an equal spec built anew hits the same cached table
+        assert _weight_spaces(RepSpec(spec.family, spec.n, spec.weights)) is _weight_spaces(spec)
+        assert list(spaces) == sorted(set(weights_of(spec)))
+        assert sorted(np.concatenate(list(spaces.values())).tolist()) == list(range(spec.dim))
+        for chi, idx in spaces.items():
+            assert all(weights_of(spec)[k] == chi for k in idx)
+        for a in (w, *spaces.values()):
+            assert not a.flags.writeable
+        with pytest.raises(TypeError):
+            spaces[(0,) * spec.n] = np.arange(1)
 
 
 def test_lambda2_embed():
