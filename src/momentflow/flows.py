@@ -4,14 +4,18 @@ numerical check that the three are the same trajectory in three models.
 All integrations run through one driver, ``_integrate``, which alone decides
 which states are sampled and when a run stops; each flow supplies only its
 entry checks, its right-hand side and the mapping from raw states to result
-objects.  The driver uses classical RK4 with step-doubling error control: a
-step is accepted when the full-step vs two-half-steps discrepancy is at most
-1e-10 per unit of block scale, halved otherwise, and the step grows by 1.5x
-after ten consecutive accepts.  The two-half-step state is the one kept.
-The full and the first half step share the stage f(y), so an attempted
-step costs 11 right-hand-side evaluations.  Inputs are validated once, at
-entry (``apply_group`` rejects a singular h0 and warns above condition
-number 1e12); right-hand sides run the unchecked kernels on plain arrays.
+objects.  The driver takes Dormand-Prince 5(4) steps (Dormand & Prince, "A
+family of embedded Runge-Kutta formulae"; Hairer-Norsett-Wanner, *Solving
+ODEs I*, II.4-5): a step is accepted when the difference of its embedded
+fifth- and fourth-order solutions is at most 1e-10 per unit of block scale,
+the fifth-order state is the one kept, and every attempt rescales the step
+by clip(0.9 err^(-1/5), 0.2, 5) with err that difference over the target.
+The last stage of a step is f at the new state ("first same as last"), so it
+is the next step's first stage and an attempted step costs 6 right-hand-side
+evaluations; the flows read their stopping data off that stage rather than
+evaluate again.  Inputs are validated once, at entry (``apply_group``
+rejects a singular h0 and warns above condition number 1e12); right-hand
+sides run the unchecked kernels on plain arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cartan import CartanContext, _check_symmetric, _spd_root, _spd_root_and_inverse
-from .momentmap import MomentValue, _energy_and_residual, _moment_matrix, moment, rep_action
+from .momentmap import (MomentValue, _energy_and_residual_of, _moment_matrix, moment,
+                        rep_action)
 from .reps import (TORUS_WEIGHTS, RepSpec, RepVector, _act, _diagonal_or_raise, _invert,
                    apply_group, rep_vector)
 
@@ -41,8 +46,6 @@ __all__ = [
 
 LOCAL_ERROR_TOL = 1e-10
 STEP_UNDERFLOW = 1e-14
-GROWTH_FACTOR = 1.5
-ACCEPTS_BEFORE_GROWTH = 10
 
 
 class FlowError(RuntimeError):
@@ -113,64 +116,85 @@ class EquivalenceReport:
     tol: float = 1e-6
 
 
-def _rk4(f, y, h, k1):
-    k2 = f(y + (0.5 * h) * k1)
-    k3 = f(y + (0.5 * h) * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# Dormand-Prince 5(4).  The flows are autonomous, so the nodes c_i are not
+# needed.  Row i of _DP_A builds the argument of stage i + 2 from stages
+# 1..i + 1; the last row is the fifth-order solution, so the seventh stage
+# is f at the new state.  _DP_E is the fifth- minus the fourth-order weights.
+_DP_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def _block_error(full, half, y, blocks):
-    worst = 0.0
-    for sl in blocks:
-        scale = max(1.0, float(np.linalg.norm(y[sl])))
-        worst = max(worst, float(np.linalg.norm(full[sl] - half[sl])) / scale)
-    return worst
+def _dp5_step(f, y, dy, dt):
+    """One Dormand-Prince step of size dt from y, with dy = f(y).  Returns
+    the fifth-order state, f at that state, and the embedded error vector."""
+    stages = np.empty((7, y.size))
+    stages[0] = dy
+    for i, row in enumerate(_DP_A, start=1):
+        z = y + dt * (row @ stages[:i])
+        stages[i] = f(z)
+    return z, stages[6], dt * (_DP_E @ stages)
+
+
+def _block_error(err, y, blocks):
+    """The largest norm of ``err`` over the blocks, each relative to
+    max(1, |y|) on that block; NaN if any is NaN."""
+    return float(np.max([np.linalg.norm(err[sl]) / max(1.0, float(np.linalg.norm(y[sl])))
+                         for sl in blocks]))
+
+
+def _step_factor(ratio):
+    """clip(0.9 ratio^(-1/5), 0.2, 5) for an error ``ratio`` of the target;
+    a NaN ratio gives 0.2."""
+    return 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
 
 
 def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=None):
     """The adaptive driver shared by all flows.  Returns
     (t, y, status, steps, samples).
 
-    ``on_state(t, y)`` runs on the initial state and on every accepted
-    state; a true return stops the run as ``converged``.  ``samples`` holds
+    ``on_state(t, y, dy)`` runs on the initial state and on every accepted
+    state, with dy = f(y); that f(y) is the last right-hand side evaluated
+    before the call, so a flow may reuse what its f computed along with it.
+    A true return stops the run as ``converged``.
+    ``postprocess(y, dy)`` maps each accepted state and its derivative to
+    the pair that is kept; it must keep dy = f(y).  ``samples`` holds
     (t, y) at t = 0, after every ``params.sample_stride``-th accepted step,
     and at the final state exactly once.
     """
     t = 0.0
     y = np.asarray(y0, dtype=float).copy()
+    dy = f(y)
     samples = [(t, y)]
-    if on_state is not None and on_state(t, y):
+    if on_state is not None and on_state(t, y, dy):
         return t, y, "converged", 0, samples
     dt = params.dt0
     steps = 0
-    run = 0
     horizon = params.t_max * (1.0 - 1e-12)
     while t < horizon and steps < params.max_steps:
         dt = min(dt, params.t_max - t)
-        k1 = f(y)
-        full = _rk4(f, y, dt, k1)
-        mid = _rk4(f, y, 0.5 * dt, k1)
-        half = _rk4(f, mid, 0.5 * dt, f(mid))
-        if _block_error(full, half, y, blocks) <= LOCAL_ERROR_TOL:
-            y = half if postprocess is None else postprocess(half)
-            t += dt
+        y_new, dy_new, err = _dp5_step(f, y, dy, dt)
+        ratio = _block_error(err, y, blocks) / LOCAL_ERROR_TOL
+        taken = dt
+        dt *= _step_factor(ratio)
+        if ratio <= 1.0:
+            y, dy = (y_new, dy_new) if postprocess is None else postprocess(y_new, dy_new)
+            t += taken
             steps += 1
-            run += 1
             if steps % params.sample_stride == 0:
                 samples.append((t, y))
-            if on_state is not None and on_state(t, y):
+            if on_state is not None and on_state(t, y, dy):
                 status = "converged"
                 break
-            if run >= ACCEPTS_BEFORE_GROWTH:
-                dt *= GROWTH_FACTOR
-                run = 0
-        else:
-            dt *= 0.5
-            run = 0
-            if dt < STEP_UNDERFLOW:
-                status = "dt_underflow"
-                break
+        elif dt < STEP_UNDERFLOW:
+            status = "dt_underflow"
+            break
     else:
         status = "max_steps" if steps >= params.max_steps else "t_max"
     if samples[-1][0] != t:
@@ -197,19 +221,30 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
     if params.renormalize:
         c0 /= nrm
 
+    moments = [None]
+
     def f(y):
-        return -act.gradient(y)
+        # the moment coefficients are scale-invariant, so renormalizing the
+        # state leaves the kept ones valid
+        moments[0], grad = act.moment_and_gradient(y)
+        return -grad
 
     energy_trace: list = []
     residual_trace: list = []
 
-    def on_state(t, y):
-        fval, res = _energy_and_residual(act, y)
+    def on_state(t, y, dy):
+        # dy is the step's last stage, so moments[0] was evaluated at y
+        fval, res = _energy_and_residual_of(moments[0], -dy, y)
         energy_trace.append((t, fval))
         residual_trace.append((t, res))
         return res <= params.residual_tol
 
-    post = (lambda y: y / np.linalg.norm(y)) if params.renormalize else None
+    def renormalize(y, dy):
+        # f is homogeneous of degree 1, so f(y / |y|) = f(y) / |y|
+        nrm = np.linalg.norm(y)
+        return y / nrm, dy / nrm
+
+    post = renormalize if params.renormalize else None
     _, y, status, steps, states = _integrate(f, c0, params, [slice(None)], on_state, post)
     limit = rep_vector(spec, y / np.linalg.norm(y))
     return FlowResult(samples=[(t, rep_vector(spec, y)) for t, y in states],
@@ -305,7 +340,7 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     def f(y):
         return _metric_velocity(ctx, act, vbar.coords, y)
 
-    def on_state(t, y):
+    def on_state(t, y, dy):
         if np.linalg.eigvalsh(_sym(y, n))[0] <= 0.0:
             raise FlowError(f"metric lost positivity at t = {t:.6g}")
 
@@ -352,7 +387,7 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
 
     worst = {"v": 0.0, "S": 0.0}
 
-    def on_state(t, y):
+    def on_state(t, y, dy):
         c = y[:d]
         h = y[d:d + n2].reshape(n, n)
         s = y[d + n2:].reshape(n, n)

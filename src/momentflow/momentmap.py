@@ -208,7 +208,13 @@ def translated_moment(ctx: CartanContext, spec: RepSpec, h, v: RepVector) -> Tra
 
 def _energy_and_residual(act: RepAction, coords: np.ndarray) -> tuple[float, float]:
     """F(v) and the criticality residual of v, on a coordinate array."""
-    coeff, grad = act.moment_and_gradient(coords)
+    return _energy_and_residual_of(*act.moment_and_gradient(coords), coords)
+
+
+def _energy_and_residual_of(coeff: np.ndarray, grad: np.ndarray,
+                            coords: np.ndarray) -> tuple[float, float]:
+    """F(v) and the criticality residual from the moment coefficients and
+    the gradient pi(m(v)) v already evaluated at v."""
     f = float(coeff @ coeff)
     return f, float(np.linalg.norm(grad - f * coords) / np.linalg.norm(coords))
 

@@ -1,18 +1,23 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.linalg import sqrtm
 
 from momentflow import (FlowParams, SpdMetric, adjoint, adjoint_from_matrix,
-                        apply_group, brackets, build_context,
-                        coupled_group_flow, criticality_residual,
-                        flow_trajectory_csv, gradient_flow, metric_flow,
+                        apply_group, apply_lie, brackets, build_context,
+                        closed_form_moment, coupled_group_flow, criticality_residual,
+                        flow_trajectory_csv, gradient_flow, lambda2, metric_flow,
                         optimal_class, rep_vector, standard, torus_weights,
                         verify_flow_equivalence)
 from momentflow.bracket import bracket_preset
 from momentflow.minnorm import min_norm_point
 
-from conftest import random_orthogonal, random_well_conditioned
+from conftest import random_orthogonal, random_spd, random_vector, random_well_conditioned
 
 
 def _e(n, i, j):
@@ -119,8 +124,13 @@ def test_step_underflow_diagnosed():
     from momentflow.flows import _integrate
     f = lambda y: np.array([1e8 * np.sin(1e12 * y[0] ** 2 + 1.0)])
     t, y, status, steps, _ = _integrate(f, np.array([1.0]), FlowParams(),
-                                        [slice(None)], lambda t, y: None)
+                                        [slice(None)], lambda t, y, dy: None)
     assert status == "dt_underflow"
+    # a NaN error estimate shrinks the step like any rejection
+    nan_after_start = lambda y: np.array([np.nan]) if y[0] != 1.0 else -y
+    t, y, status, steps, _ = _integrate(nan_after_start, np.array([1.0]), FlowParams(),
+                                        [slice(None)])
+    assert (status, steps) == ("dt_underflow", 0)
 
 
 def test_flow_params_validation():
@@ -257,9 +267,10 @@ def test_trajectory_csv_shape():
     assert abs(float(first[3]) - 0.6) <= 1e-15
 
 
-def test_attempted_step_costs_eleven_evaluations(monkeypatch):
+def test_attempted_step_costs_six_evaluations(monkeypatch):
     # y' = -y from a first step far too large for the error target, so the
-    # count covers rejected as well as accepted steps
+    # count covers rejected as well as accepted steps; the one evaluation
+    # beyond six per attempt is f(y0), the first step's first stage
     from momentflow import flows
     attempts = {"n": 0}
     block_error = flows._block_error
@@ -276,10 +287,10 @@ def test_attempted_step_costs_eleven_evaluations(monkeypatch):
         return -y
 
     t, y, status, steps, _ = flows._integrate(f, np.array([1.0]), FlowParams(dt0=1.0, t_max=2.0),
-                                              [slice(None)], lambda t, y: None)
+                                              [slice(None)], lambda t, y, dy: None)
     assert status == "t_max" and abs(y[0] - np.exp(-2.0)) <= 1e-9
     assert attempts["n"] > steps > 0
-    assert evals["n"] == 11 * attempts["n"]
+    assert evals["n"] == 6 * attempts["n"] + 1
 
 
 def test_driver_owns_sampling_and_stopping():
@@ -289,22 +300,26 @@ def test_driver_owns_sampling_and_stopping():
     params = FlowParams(dt0=0.1, t_max=2.0, sample_stride=3)
     y0 = np.array([1.0])
     seen = []
-    t, y, status, steps, samples = _integrate(lambda y: -y, y0, params, [slice(None)],
-                                              lambda t, y: seen.append(t))
+
+    def record(t, y, dy):
+        assert dy[0] == -y[0]  # the hook gets f at the state it sees
+        seen.append(t)
+
+    t, y, status, steps, samples = _integrate(lambda y: -y, y0, params, [slice(None)], record)
     assert status == "t_max" and steps > 6 and len(seen) == steps + 1
     expected = seen[::3] + ([t] if steps % 3 else [])
     assert [s for s, _ in samples] == expected and expected[-1] == t
     assert samples[-1][1][0] == y[0]
 
     t, y, status, steps, samples = _integrate(lambda y: -y, y0, params, [slice(None)],
-                                              lambda t, y: True)
+                                              lambda t, y, dy: True)
     assert (status, steps, len(samples)) == ("converged", 0, 1)
     assert t == samples[0][0] == 0.0 and samples[0][1][0] == 1.0
 
     for k in (3, 4):
         seen = []
 
-        def stop_at_k(t, y):
+        def stop_at_k(t, y, dy):
             seen.append(t)
             return len(seen) == k + 1
 
@@ -417,3 +432,115 @@ def test_verify_flow_equivalence_torus_module():
     with pytest.raises(ValueError, match="not diagonal"):
         verify_flow_equivalence(build_context(3, "GL"), spec, vbar,
                                 h0 + 0.1 * _e(3, 0, 1), 1.0)
+
+
+@pytest.mark.parametrize("spec", [adjoint(3), brackets(3), lambda2(4)],
+                         ids=["adjoint3", "brackets3", "lambda2_4"])
+def test_trajectories_match_scipy_dop853(rng, spec):
+    # scipy's eighth-order integrator at tight tolerances is the reference;
+    # its right-hand sides use the closed-form moment map, apply_lie and
+    # scipy's sqrtm, none of which the flows use
+    n = spec.n
+    ctx = build_context(n, "GL")
+    vbar = random_vector(rng, spec)
+    params = FlowParams(t_max=2.0, sample_stride=1, renormalize=False)
+
+    def reference(f, y0, times):
+        sol = solve_ivp(lambda t, y: f(y), (0.0, 2.0), y0, method="DOP853",
+                        rtol=1e-13, atol=1e-15, t_eval=times)
+        assert sol.success
+        return sol.y.T
+
+    def closed_m(coords):
+        return closed_form_moment(spec, rep_vector(spec, coords)).matrix
+
+    def gradient_velocity(c):
+        return -apply_lie(spec, closed_m(c), rep_vector(spec, c)).coords
+
+    # the velocity is homogeneous of degree 1, so the renormalized flow is
+    # the raw one divided by its norm
+    for renormalize in (False, True):
+        flow = gradient_flow(ctx, spec, vbar, replace(params, renormalize=renormalize))
+        times = [t for t, _ in flow.samples]
+        expected = reference(gradient_velocity, vbar.coords, times)
+        if renormalize:
+            expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+        assert len(times) > 10
+        for (_, v), ref in zip(flow.samples, expected):
+            assert np.linalg.norm(v.coords - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def metric_velocity(y):
+        s = y.reshape(n, n)
+        h = np.real(sqrtm(s))
+        big = np.linalg.solve(h, closed_m(apply_group(spec, h, vbar).coords) @ h)
+        return -(big.T @ s + s @ big).reshape(-1)
+
+    s0 = random_spd(rng, n, 0.5, 2.0)
+    metric = metric_flow(ctx, spec, vbar, SpdMetric(s0), params)
+    expected = reference(metric_velocity, s0.reshape(-1), [t for t, _ in metric])
+    assert len(metric) > 10
+    for (_, s), ref in zip(metric, expected):
+        assert np.linalg.norm(s.S.reshape(-1) - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_right_hand_side_evaluations_at_most_half_of_step_doubling(monkeypatch, rng):
+    # work counters, not wall time: the step-doubling RK4 driver that the
+    # Dormand-Prince driver replaced took 5,181 and 10,615 evaluations here
+    from momentflow import flows
+    evals = {"n": 0}
+    integrate = flows._integrate
+
+    def counting_integrate(f, *args, **kwargs):
+        def counted(y):
+            evals["n"] += 1
+            return f(y)
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "_integrate", counting_integrate)
+    vbar = adjoint_from_matrix(_e(3, 0, 1) + _e(3, 1, 2))
+    rep = verify_flow_equivalence(build_context(3, "GL"), vbar.spec, vbar,
+                                  random_well_conditioned(rng, 3), 5.0)
+    assert rep.passed and evals["n"] <= 5_181 // 2
+
+    # the stopping test reads the last stage, so every gradient is a stage
+    from momentflow.momentmap import RepAction
+    gradients = {"n": 0}
+
+    def counting(method):
+        def counted(self, coords):
+            gradients["n"] += 1
+            return method(self, coords)
+        return counted
+
+    for name in ("gradient", "moment_and_gradient"):
+        monkeypatch.setattr(RepAction, name, counting(getattr(RepAction, name)))
+    evals["n"] = 0
+    mu = bracket_preset("chain", 6).to_rep_vector().normalized()
+    res = gradient_flow(build_context(6, "GL"), mu.spec, mu)
+    assert res.converged and evals["n"] <= 10_615 // 2
+    assert gradients["n"] == evals["n"]
+
+
+_torus_flow_cases = st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0])),
+    min_size=2, max_size=6))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(_torus_flow_cases)
+def test_torus_flow_limit_moment_is_min_norm_point(case):
+    # every coordinate is nonzero, so the state is every weight and the
+    # limit moment is the exact minimum-norm point of their hull
+    weights = [w for w, _ in case]
+    cert = min_norm_point(weights)
+    # at q = 0, or with a weight off the support on the critical hyperplane,
+    # the flow approaches its limit only polynomially in t; the certificate
+    # already asserts that every support coefficient is positive
+    assume(cert.q > 0)
+    support = set(cert.support)
+    assume(all(sum(a * b for a, b in zip(w, cert.eta)) > cert.q
+               for w in weights if w not in support))
+    spec = torus_weights(weights)
+    res = gradient_flow(build_context(spec.n, "GL"), spec, rep_vector(spec, [c for _, c in case]))
+    expected = np.array([float(x) for x in cert.eta])
+    assert np.abs(np.diag(res.limit_moment.matrix) - expected).max() <= 1e-6
