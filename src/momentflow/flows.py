@@ -1,6 +1,14 @@
 """Negative gradient flow, companion group flow, metric flow, and the
 numerical check that the three are the same trajectory in three models.
 
+The stratum of v is read off where the direction of the negative gradient
+flow v' = -pi(m(v)) v ends up (Ness, "A stratification of the null cone via
+the moment map").  As <pi(m(v)) v, v> = F(v) |v|^2, that field also decays
+|v| at rate F, which says nothing about the direction; ``gradient_flow``
+therefore integrates u = v / |v| itself, u' = -(pi(m(u)) u - F(u) u), on the
+unit sphere and in the same time, so its steps grow as u nears a critical
+direction instead of resolving the decay.
+
 All integrations run through one driver, ``_integrate``, which alone decides
 which states are sampled and when a run stops; each flow supplies only its
 entry checks, its right-hand side and the mapping from raw states to result
@@ -25,10 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cartan import CartanContext, _check_symmetric, _spd_root, _spd_root_and_inverse
-from .momentmap import (MomentValue, _energy_and_residual_of, _moment_matrix, moment,
-                        rep_action)
-from .reps import (TORUS_WEIGHTS, RepSpec, RepVector, _act, _diagonal_or_raise, _invert,
-                   apply_group, rep_vector)
+from .momentmap import MomentValue, _moment_matrix, moment, rep_action
+from .reps import (TORUS_WEIGHTS, RepSpec, RepVector, _act, _diagonal_or_raise, _in_range,
+                   _invert, apply_group, rep_vector)
 
 __all__ = [
     "FlowParams",
@@ -46,6 +53,12 @@ __all__ = [
 
 LOCAL_ERROR_TOL = 1e-10
 STEP_UNDERFLOW = 1e-14
+# Dormand-Prince 5(4) is stable on the negative real axis down to about
+# -3.3, where a decaying mode is no longer damped (|R(z)| -> 1): near a
+# stable limit the error control then keeps dt there and the state hovers
+# at the local error target instead of converging.  A run with
+# ``damp_stiff`` keeps dt * rho at most this, where |R(-2)| is about 0.17.
+STABILITY_CAP = 2.0
 
 
 class FlowError(RuntimeError):
@@ -99,6 +112,8 @@ class FlowResult:
     limit_moment: MomentValue
     status: str = "converged"
     steps: int = 0
+    rejected: int = 0
+    evaluations: int = 0
 
 
 @dataclass
@@ -133,13 +148,20 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 
 def _dp5_step(f, y, dy, dt):
     """One Dormand-Prince step of size dt from y, with dy = f(y).  Returns
-    the fifth-order state, f at that state, and the embedded error vector."""
+    the fifth-order state, f at that state, the embedded error vector and
+    rho, an estimate of the largest |eigenvalue| of f's Jacobian."""
     stages = np.empty((7, y.size))
     stages[0] = dy
+    z = y
     for i, row in enumerate(_DP_A, start=1):
-        z = y + dt * (row @ stages[:i])
+        before, z = z, y + dt * (row @ stages[:i])
         stages[i] = f(z)
-    return z, stages[6], dt * (_DP_E @ stages)
+    # stages 6 and 7 are both at the step's end, so their difference
+    # quotient is the stiffness estimate of Hairer-Wanner, *Solving ODEs II*,
+    # IV.2; 0 when the two points coincide
+    gap = np.linalg.norm(z - before)
+    rho = float(np.linalg.norm(stages[6] - stages[5]) / gap) if gap > 0.0 else 0.0
+    return z, stages[6], dt * (_DP_E @ stages), rho
 
 
 def _block_error(err, y, blocks):
@@ -155,7 +177,8 @@ def _step_factor(ratio):
     return 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
 
 
-def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=None):
+def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=None,
+               counts=None, damp_stiff=False):
     """The adaptive driver shared by all flows.  Returns
     (t, y, status, steps, samples).
 
@@ -166,11 +189,16 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
     ``postprocess(y, dy)`` maps each accepted state and its derivative to
     the pair that is kept; it must keep dy = f(y).  ``samples`` holds
     (t, y) at t = 0, after every ``params.sample_stride``-th accepted step,
-    and at the final state exactly once.
+    and at the final state exactly once.  A ``counts`` dict receives the
+    number of ``rejected`` attempts and of right-hand-side ``evaluations``.
+    ``damp_stiff`` caps dt * rho at ``STABILITY_CAP``.
     """
     t = 0.0
     y = np.asarray(y0, dtype=float).copy()
     dy = f(y)
+    if counts is None:
+        counts = {}
+    counts.update(rejected=0, evaluations=1)
     samples = [(t, y)]
     if on_state is not None and on_state(t, y, dy):
         return t, y, "converged", 0, samples
@@ -179,10 +207,13 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
     horizon = params.t_max * (1.0 - 1e-12)
     while t < horizon and steps < params.max_steps:
         dt = min(dt, params.t_max - t)
-        y_new, dy_new, err = _dp5_step(f, y, dy, dt)
+        y_new, dy_new, err, rho = _dp5_step(f, y, dy, dt)
+        counts["evaluations"] += 6
         ratio = _block_error(err, y, blocks) / LOCAL_ERROR_TOL
         taken = dt
         dt *= _step_factor(ratio)
+        if damp_stiff and dt * rho > STABILITY_CAP:
+            dt = STABILITY_CAP / rho
         if ratio <= 1.0:
             y, dy = (y_new, dy_new) if postprocess is None else postprocess(y_new, dy_new)
             t += taken
@@ -192,9 +223,11 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
             if on_state is not None and on_state(t, y, dy):
                 status = "converged"
                 break
-        elif dt < STEP_UNDERFLOW:
-            status = "dt_underflow"
-            break
+        else:
+            counts["rejected"] += 1
+            if dt < STEP_UNDERFLOW:
+                status = "dt_underflow"
+                break
     else:
         status = "max_steps" if steps >= params.max_steps else "t_max"
     if samples[-1][0] != t:
@@ -202,30 +235,43 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
     return t, y, status, steps, samples
 
 
+def _sphere_velocity(act, y):
+    """The moment coefficients at y and -(pi(m(y)) y - F(y) y), the gradient
+    flow's velocity less its radial part; it is orthogonal to y, since
+    <pi(m(y)) y, y> = F(y) |y|^2."""
+    coeff, grad = act.moment_and_gradient(y)
+    grad -= float(coeff @ coeff) * y
+    return coeff, -grad
+
+
 def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
                   params: FlowParams | None = None) -> FlowResult:
-    """Integrate v' = -pi(m(v)) v.
+    """Integrate the direction of v' = -pi(m(v)) v.
 
-    With ``params.renormalize`` the state is projected to the unit sphere
-    after each accepted step; the moment map and energy are scale-invariant,
-    so the direction dynamics are unchanged.  The run converges when the
-    criticality residual drops below ``params.residual_tol``.
+    With ``params.renormalize`` (the default) the state is u = v / |v|,
+    integrated as u' = -(pi(m(u)) u - F(u) u) and projected back to the unit
+    sphere after each accepted step; with ``renormalize=False`` v itself is
+    integrated.  The run converges when the criticality residual drops
+    below ``params.residual_tol``.
     """
     if params is None:
         params = FlowParams()
     act = rep_action(ctx, spec)
-    c0 = np.array(v0.coords, dtype=float)
+    c0, exponent = _in_range(v0.coords)
     nrm = np.linalg.norm(c0)
     if nrm == 0.0:
         raise ValueError("cannot flow the zero vector")
     if params.renormalize:
-        c0 /= nrm
+        c0, exponent = c0 / nrm, 0
 
     moments = [None]
 
     def f(y):
         # the moment coefficients are scale-invariant, so renormalizing the
         # state leaves the kept ones valid
+        if params.renormalize:
+            moments[0], dy = _sphere_velocity(act, y)
+            return dy
         moments[0], grad = act.moment_and_gradient(y)
         return -grad
 
@@ -233,8 +279,12 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
     residual_trace: list = []
 
     def on_state(t, y, dy):
-        # dy is the step's last stage, so moments[0] was evaluated at y
-        fval, res = _energy_and_residual_of(moments[0], -dy, y)
+        # dy is the step's last stage, so moments[0] was evaluated at y; the
+        # residual is |pi(m(y)) y - F(y) y| / |y|, which is |dy| / |y| on the
+        # sphere
+        fval = float(moments[0] @ moments[0])
+        tangent = dy if params.renormalize else dy + fval * y
+        res = float(np.linalg.norm(tangent) / np.linalg.norm(y))
         energy_trace.append((t, fval))
         residual_trace.append((t, res))
         return res <= params.residual_tol
@@ -245,16 +295,21 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
         return y / nrm, dy / nrm
 
     post = renormalize if params.renormalize else None
-    _, y, status, steps, states = _integrate(f, c0, params, [slice(None)], on_state, post)
+    counts: dict = {}
+    # the sphere velocity vanishes at the limit, so only stability bounds dt
+    # there
+    _, y, status, steps, states = _integrate(f, c0, params, [slice(None)], on_state, post,
+                                             counts, damp_stiff=params.renormalize)
     limit = rep_vector(spec, y / np.linalg.norm(y))
-    return FlowResult(samples=[(t, rep_vector(spec, y)) for t, y in states],
+    return FlowResult(samples=[(t, rep_vector(spec, np.ldexp(y, exponent))) for t, y in states],
                       energy_trace=energy_trace,
                       residual_trace=residual_trace,
                       converged=(status == "converged"),
                       limit=limit,
                       limit_moment=moment(ctx, spec, limit),
                       status=status,
-                      steps=steps)
+                      steps=steps,
+                      **counts)
 
 
 def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
@@ -359,7 +414,9 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     from rho(h0) vbar, the group flow h' = -m(rho(h) vbar) h from h0, and
     the metric flow from h0^T h0 -- and the report collects the worst
     relative deviations of v(t) from rho(h(t)) vbar and of S(t) from
-    h(t)^T h(t) over the horizon.
+    h(t)^T h(t) over the horizon.  The report passes only when the run
+    reached the horizon and neither deviation exceeds ``tol`` (a NaN one
+    fails).  A vbar of extreme scale is first rescaled by a power of two.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -369,8 +426,11 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     act = rep_action(ctx, spec)
     n = ctx.n
     h0 = np.asarray(h0, dtype=float)
+    vbar = RepVector(vbar.spec, _in_range(vbar.coords)[0])
     v0 = apply_group(spec, h0, vbar)
-    if v0.norm == 0.0:
+    # the vector block is integrated at the scale h0 gives it, so a v0 whose
+    # |v0|^2 underflows cannot be flowed
+    if np.linalg.norm(v0.coords) == 0.0:
         raise ValueError("cannot flow the zero vector")
     d = spec.dim
     n2 = n * n
@@ -394,13 +454,15 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
         pred = _rho(spec, h, vbar.coords)
         dev_v = np.linalg.norm(c - pred) / np.linalg.norm(c)
         dev_s = np.linalg.norm(s - h.T @ h) / np.linalg.norm(s)
-        worst["v"] = max(worst["v"], float(dev_v))
-        worst["S"] = max(worst["S"], float(dev_s))
+        # np.maximum keeps a NaN deviation, which then fails the check
+        worst["v"] = float(np.maximum(worst["v"], dev_v))
+        worst["S"] = float(np.maximum(worst["S"], dev_s))
 
-    _, y, _, _, _ = _integrate(f, y0, params, blocks, on_state)
+    _, y, status, _, _ = _integrate(f, y0, params, blocks, on_state)
     _invert(y[d:d + n2].reshape(n, n))  # warns if h(t) ended ill-conditioned
     return EquivalenceReport(max_dev_v=worst["v"], max_dev_S=worst["S"],
-                             passed=bool(worst["v"] <= tol and worst["S"] <= tol),
+                             passed=bool(status == "t_max" and worst["v"] <= tol
+                                         and worst["S"] <= tol),
                              tol=tol)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cartan import CartanContext
 from .reps import (ADJOINT, DUAL, LAMBDA2, STANDARD, TORUS_WEIGHTS, RepSpec, RepVector,
-                   _lie, apply_group, brackets_tensor, lambda2_to_matrix)
+                   _in_range, _lie, apply_group, brackets_tensor, lambda2_to_matrix)
 
 __all__ = [
     "MomentValue",
@@ -140,7 +140,7 @@ def _moment_value(ctx: CartanContext, coeff: np.ndarray) -> MomentValue:
 
 def moment(ctx: CartanContext, spec: RepSpec, v: RepVector) -> MomentValue:
     """Moment map value of v, via the p-basis expansion."""
-    coeff = rep_action(ctx, spec).moment_coefficients(v.coords)
+    coeff = rep_action(ctx, spec).moment_coefficients(_in_range(v.coords)[0])
     return _moment_value(ctx, coeff)
 
 
@@ -158,6 +158,7 @@ def closed_form_moment(spec: RepSpec, v: RepVector) -> MomentValue:
     fam = spec.family
     if fam == TORUS_WEIGHTS:
         raise ValueError("no closed form for a TorusWeights family")
+    v = RepVector(v.spec, _in_range(v.coords)[0])
     c = v.coords
     nrm2 = float(c @ c)
     if nrm2 < ZERO_NORM_FLOOR:
@@ -208,13 +209,7 @@ def translated_moment(ctx: CartanContext, spec: RepSpec, h, v: RepVector) -> Tra
 
 def _energy_and_residual(act: RepAction, coords: np.ndarray) -> tuple[float, float]:
     """F(v) and the criticality residual of v, on a coordinate array."""
-    return _energy_and_residual_of(*act.moment_and_gradient(coords), coords)
-
-
-def _energy_and_residual_of(coeff: np.ndarray, grad: np.ndarray,
-                            coords: np.ndarray) -> tuple[float, float]:
-    """F(v) and the criticality residual from the moment coefficients and
-    the gradient pi(m(v)) v already evaluated at v."""
+    coeff, grad = act.moment_and_gradient(coords)
     f = float(coeff @ coeff)
     return f, float(np.linalg.norm(grad - f * coords) / np.linalg.norm(coords))
 
@@ -222,4 +217,4 @@ def _energy_and_residual_of(coeff: np.ndarray, grad: np.ndarray,
 def criticality_residual(ctx: CartanContext, spec: RepSpec, v: RepVector) -> float:
     """||pi(m(v)) v - F(v) v|| / ||v||; zero exactly at fixed directions of
     the gradient flow."""
-    return _energy_and_residual(rep_action(ctx, spec), v.coords)[1]
+    return _energy_and_residual(rep_action(ctx, spec), _in_range(v.coords)[0])[1]

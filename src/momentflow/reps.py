@@ -31,6 +31,7 @@ space is then the plain dot product of coordinates: tr(x^T y) on gl_n,
 from __future__ import annotations
 
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -190,13 +191,30 @@ class RepVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        coords, exponent = _in_range(self.coords)
+        return float(np.ldexp(np.linalg.norm(coords), exponent))
 
     def normalized(self) -> "RepVector":
-        nrm = self.norm
+        coords = _in_range(self.coords)[0]
+        nrm = np.linalg.norm(coords)
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return RepVector(self.spec, self.coords / nrm)
+        return RepVector(self.spec, coords / nrm)
+
+
+# |v|^2 and the moment map's products over- or underflow once the largest
+# entry leaves [2^-401, 2^400)
+_SAFE_EXPONENT = 400
+
+
+def _in_range(coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """(coords * 2^-e, e): e = 0 when the largest entry is in the safe range
+    (or coords is 0), else the e that brings it to [1/2, 1).  A power of two
+    scales exactly, so scale-invariant results are the unscaled vector's."""
+    exponent = math.frexp(float(np.max(np.abs(coords))))[1]
+    if abs(exponent) <= _SAFE_EXPONENT:
+        return coords, 0
+    return np.ldexp(coords, -exponent), exponent
 
 
 def rep_vector(spec: RepSpec, coords) -> RepVector:
@@ -416,14 +434,14 @@ def weight_components(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12
     """
     if v.spec != spec:
         raise ValueError("vector does not belong to spec")
-    nrm = v.norm
+    coords = _in_range(v.coords)[0]
+    nrm = np.linalg.norm(coords)
     if nrm == 0.0:
         raise ValueError("zero vector has no state")
     out: dict[tuple[int, ...], np.ndarray] = {}
     for w, idx in _weight_spaces(spec)[1].items():
-        sub = v.coords[idx]
-        if np.linalg.norm(sub) > zero_tol * nrm:
-            out[w] = sub
+        if np.linalg.norm(coords[idx]) > zero_tol * nrm:
+            out[w] = v.coords[idx]
     return out
 
 

@@ -126,6 +126,46 @@ def test_exact_subcommand_stdout_pinned(capsys, case):
     assert _capture(capsys, case["argv"]) == (0, case["stdout"])
 
 
+# stdout of `flow --raw`, recorded before the renormalized flow moved to the
+# sphere: the raw flow integrates v' = -pi(m(v)) v as before, so its floats
+# stay those of this platform's numpy bit for bit
+_RAW_GOLDEN = json.loads(Path(__file__).with_name("cli_raw_flow_golden.json")
+                         .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _RAW_GOLDEN, ids=[str(k) for k in range(len(_RAW_GOLDEN))])
+def test_raw_flow_stdout_pinned(capsys, case):
+    assert _capture(capsys, case["argv"]) == (0, case["stdout"])
+
+
+def test_extreme_scale_vectors_read_like_unit_ones(capsys):
+    # |v|^2 overflows at 1e200 and underflows at 1e-170; before, moment
+    # printed NaN, flow called the vector zero and label had no state
+    base = ["--family", "adjoint", "--n", "2", "--vector"]
+    for cmd, extra in (("moment", []), ("flow", ["--format", "json"])):
+        code, doc = _capture_json(capsys, [cmd] + base + ["[1e200,1e200,0,1e200]"] + extra)
+        _, unit = _capture_json(capsys, [cmd] + base + ["[1,1,0,1]"] + extra)
+        assert code == 0
+        spectrum = doc["spectrum" if cmd == "moment" else "limit_spectrum"]
+        assert np.allclose(spectrum, unit["spectrum" if cmd == "moment" else "limit_spectrum"],
+                           rtol=0, atol=1e-12)
+    assert _capture(capsys, ["label"] + base + ["[1e-170,1e-170,0,0]"]) == \
+        _capture(capsys, ["label"] + base + ["[1,1,0,0]"])
+    code, doc = _capture_json(capsys, ["verify-flows"] + base + ["[0,1e200,0,0]", "--t-max", "5"])
+    assert code == 0 and doc["passed"] is True and doc["max_dev_v"] > 0.0
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    import os
+    import subprocess
+    import momentflow
+    argv = ["flow", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(momentflow.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "momentflow"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == _capture(capsys, argv)
+
+
 def test_verify_flows_deterministic(capsys):
     argv = ["verify-flows", "--family", "standard", "--n", "2",
             "--vector", "[1,0]", "--t-max", "2", "--seed", "5"]

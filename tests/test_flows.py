@@ -544,3 +544,109 @@ def test_torus_flow_limit_moment_is_min_norm_point(case):
     res = gradient_flow(build_context(spec.n, "GL"), spec, rep_vector(spec, [c for _, c in case]))
     expected = np.array([float(x) for x in cert.eta])
     assert np.abs(np.diag(res.limit_moment.matrix) - expected).max() <= 1e-6
+
+
+@pytest.mark.parametrize("group", ["GL", "SL"])
+def test_sphere_velocity_is_tangent(rng, group):
+    # <pi(m(y)) y, y> = F(y) |y|^2, so removing F(y) y leaves a velocity
+    # orthogonal to y: the flow moves the direction only
+    from momentflow.flows import _sphere_velocity
+    from momentflow.momentmap import rep_action
+    from momentflow.reps import dual
+    ctx = build_context(3, group)
+    torus = torus_weights([(1, 0, 0), (0, 1, 0), (-1, -1, 2), (2, -1, 0)])
+    for spec in (standard(3), dual(3), adjoint(3), lambda2(3), brackets(3), torus):
+        act = rep_action(ctx, spec)
+        for _ in range(5):
+            y = rng.normal(size=spec.dim) * rng.uniform(0.1, 10.0)
+            coeff, dy = _sphere_velocity(act, y)
+            grad = act.gradient(y)
+            assert abs(dy @ y) <= 1e-14 * np.linalg.norm(grad) * np.linalg.norm(y)
+            tangent = grad - (coeff @ coeff) * y
+            assert np.abs(dy + tangent).max() <= 1e-14 * np.linalg.norm(grad)
+
+
+def test_critical_input_takes_no_steps():
+    # the velocity vanishes at a critical direction: the first residual stops the run
+    ctx = build_context(3, "GL")
+    for v in (adjoint_from_matrix(_e(3, 0, 1)), rep_vector(standard(3), [1.0, 1.0, 1.0])):
+        res = gradient_flow(ctx, v.spec, v)
+        assert (res.status, res.steps, res.rejected, res.evaluations) == ("converged", 0, 0, 1)
+        assert res.residual_trace[0][1] <= 1e-15
+
+
+def test_direction_flow_work_counters(monkeypatch):
+    # counters, not wall time: integrating v' = -pi(m(v)) v and renormalizing
+    # took 2,797 evaluations on chain(6) and 757 accepted steps on chain(7)
+    from momentflow.momentmap import RepAction
+    gradients = {"n": 0}
+
+    def counting(method):
+        def counted(self, coords):
+            gradients["n"] += 1
+            return method(self, coords)
+        return counted
+
+    for name in ("gradient", "moment_and_gradient"):
+        monkeypatch.setattr(RepAction, name, counting(getattr(RepAction, name)))
+    for n, max_evaluations, max_steps in ((6, 1_000, None), (7, None, 200)):
+        mu = bracket_preset("chain", n).to_rep_vector().normalized()
+        ctx = build_context(n, "GL")
+        gradients["n"] = 0
+        res = gradient_flow(ctx, mu.spec, mu)
+        assert res.converged
+        assert res.evaluations == gradients["n"] == 1 + 6 * (res.steps + res.rejected)
+        assert max_evaluations is None or res.evaluations <= max_evaluations
+        assert max_steps is None or res.steps <= max_steps
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_flows_at_extreme_scales_match_the_unscaled_vector(rng, renormalize):
+    # u's largest entry is in [1/2, 1), so 2^(+-600) u is rescaled to u
+    # exactly; the renormalized flow is u's, and the raw flow's samples are
+    # u's scaled back
+    ctx = build_context(3, "GL")
+    spec = adjoint(3)
+    c = rng.normal(size=spec.dim)
+    u = rep_vector(spec, 0.75 * c / np.abs(c).max())
+    params = FlowParams(t_max=3.0, sample_stride=1, renormalize=renormalize)
+    base = gradient_flow(ctx, spec, u, params)
+    h0 = random_well_conditioned(rng, 3)
+    report = verify_flow_equivalence(ctx, spec, u, h0, 1.0)
+    for k in (600, -600):
+        v = rep_vector(spec, np.ldexp(u.coords, k))
+        res = gradient_flow(ctx, spec, v, params)
+        assert (res.steps, res.energy_trace, res.residual_trace) == (
+            base.steps, base.energy_trace, base.residual_trace)
+        assert np.array_equal(res.limit.coords, base.limit.coords)
+        shift = 0 if renormalize else k
+        for (t, w), (s, x) in zip(res.samples, base.samples, strict=True):
+            assert t == s and np.array_equal(w.coords, np.ldexp(x.coords, shift))
+        assert verify_flow_equivalence(ctx, spec, v, h0, 1.0) == report
+
+
+def test_equivalence_fails_a_run_that_stops_short():
+    ctx = build_context(2, "GL")
+    vbar = adjoint_from_matrix(_e(2, 0, 1))
+    h0 = np.array([[1.0, 0.5], [0.0, 1.0]])
+    # max_steps ends the run at t 0.048 of 5.0: nothing past it was compared
+    rep = verify_flow_equivalence(ctx, vbar.spec, vbar, h0, 5.0, FlowParams(max_steps=3))
+    assert not rep.passed and rep.max_dev_v <= 1e-6 and rep.max_dev_S <= 1e-6
+    assert verify_flow_equivalence(ctx, vbar.spec, vbar, h0, 5.0).passed
+    # h0^T h0 overflows, so S starts infinite: its deviation is NaN, which
+    # max() used to drop
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_flow_equivalence(ctx, vbar.spec, vbar, 1e200 * np.eye(2), 5.0)
+    assert not rep.passed and np.isnan(rep.max_dev_S)
+
+
+def test_direction_flow_converges_below_the_local_error_target():
+    # near the limit the sphere velocity vanishes and only stability bounds
+    # dt; uncapped, dt settles near 1.4 against the Jacobian eigenvalue -2.4,
+    # where DP5 no longer damps that mode, and the residual hovers near 1e-10
+    # until t_max (803 steps); the raw field's radial decay held dt near 0.03
+    # (363 steps)
+    mu = bracket_preset("chain", 5).to_rep_vector().normalized()
+    res = gradient_flow(build_context(5, "GL"), mu.spec, mu, FlowParams(residual_tol=1e-12))
+    assert res.converged and res.steps <= 200
+    assert res.residual_trace[-1][1] <= 1e-12

@@ -376,3 +376,34 @@ def test_sparse_operator_is_never_dense():
         tracemalloc.stop()
     assert act.pi_stack.nbytes < 1e6
     assert peak < 5e6
+
+
+_TORUS = torus_weights([(1, 0, 0), (0, 1, 0), (-1, -1, 2), (2, -1, 0)])
+
+
+@pytest.mark.parametrize("group", ["GL", "SL"])
+def test_extreme_scales_give_the_unscaled_answer(rng, group):
+    # a power of two rescales exactly, so 2^(+-600) u, whose |u|^2 would
+    # over- or underflow, reads bit for bit like u; u's largest entry is in
+    # [1/2, 1), where the entry points leave it unscaled
+    from momentflow import weight_components
+    ctx = build_context(3, group)
+    for spec in matrix_families(3) + [_TORUS]:
+        c = rng.normal(size=spec.dim)
+        u = rep_vector(spec, 0.75 * c / np.abs(c).max())
+        expected = moment(ctx, spec, u)
+        for k in (600, -600):
+            v = rep_vector(spec, np.ldexp(u.coords, k))
+            assert v.norm == np.ldexp(u.norm, k)
+            assert np.array_equal(v.normalized().coords, u.normalized().coords)
+            got = moment(ctx, spec, v)
+            assert np.array_equal(got.matrix, expected.matrix)
+            assert got.energy == expected.energy
+            assert criticality_residual(ctx, spec, v) == criticality_residual(ctx, spec, u)
+            if spec != _TORUS and group == "GL":
+                assert np.array_equal(closed_form_moment(spec, v).matrix,
+                                      closed_form_moment(spec, u).matrix)
+            parts = weight_components(spec, v)
+            assert parts.keys() == weight_components(spec, u).keys()
+            assert all(np.array_equal(np.ldexp(p, -k), weight_components(spec, u)[w])
+                       for w, p in parts.items())
