@@ -209,8 +209,11 @@ def critical_bracket_check(ctx: CartanContext, mu: BracketTensor,
     """Check the derivation property of beta_plus at a critical bracket.
 
     The bracket must already be a critical direction (criticality residual
-    at most ``residual_tol``); flow it there first otherwise.
+    at most ``residual_tol``); flow it there first otherwise.  Both
+    tolerances must be positive.
     """
+    if not (residual_tol > 0 and derivation_tol > 0):
+        raise ValueError("residual_tol and derivation_tol must be positive")
     v = mu.to_rep_vector()
     if v.norm == 0.0:
         raise ValueError("zero bracket")

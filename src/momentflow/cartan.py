@@ -161,6 +161,9 @@ def _context(n: int, group: str) -> CartanContext:
 
 
 def _check_symmetric(s: np.ndarray, what: str, tol: float = 1e-10) -> None:
+    # a NaN or infinite entry would make the comparison below pass
+    if not np.isfinite(s).all():
+        raise ValueError(f"{what} must be finite")
     scale = max(1.0, float(np.abs(s).max(initial=0.0)))
     if np.abs(s - s.T).max(initial=0.0) > tol * scale:
         raise ValueError(f"{what} must be symmetric")

@@ -69,9 +69,8 @@ def _settings(args) -> dict:
     return settings
 
 
-def _flow_params(settings: dict, renormalize: bool = True) -> FlowParams:
-    known = {k: v for k, v in settings.items() if k in _FLOW_FIELDS}
-    return FlowParams(**known, renormalize=renormalize)
+def _flow_params(settings: dict) -> FlowParams:
+    return FlowParams(**{k: v for k, v in settings.items() if k in _FLOW_FIELDS})
 
 
 def _maybe_file(text: str):
@@ -167,7 +166,7 @@ def _cmd_flow(args) -> int:
     settings = _settings(args)
     v = _resolve_vector(args)
     ctx = build_context(v.spec.n, args.group)
-    result = gradient_flow(ctx, v.spec, v, _flow_params(settings, renormalize=not args.raw))
+    result = gradient_flow(ctx, v.spec, v, _flow_params(settings))
     if args.format == "csv":
         sys.stdout.write(flow_trajectory_csv(result))
         return 0
@@ -283,11 +282,13 @@ def _cmd_jordan(args) -> int:
 
 def _cmd_bracket(args) -> int:
     settings = _settings(args)
-    # FlowParams (which validates every setting) is built only to flow, so
-    # that a report without --flow reads nothing but the tolerance
-    tol = settings.get("residual_tol", FlowParams.residual_tol)
     if args.n is None:
         raise UsageError("--n is required")
+    # FlowParams validates every setting it is given, so the full set is
+    # built only to flow: a report without --flow reads nothing but the
+    # tolerance, checked on its own
+    tol = settings.get("residual_tol", FlowParams.residual_tol)
+    FlowParams(residual_tol=tol)
     mu = bracketmod.bracket_preset(args.preset, args.n)
     ctx = build_context(args.n, "GL")
     v = mu.to_rep_vector().normalized()
@@ -353,7 +354,6 @@ _FLAGS = {
     "--match-tol": {"dest": "match_tol", "type": float},
     "--seed": {"type": int},
     "--format": {"choices": ("json", "csv"), "default": "csv"},
-    "--raw": {"action": "store_true", "help": "disable unit-sphere renormalization"},
     "--h0": {"help": "initial group element, inline JSON or @file (default: seeded random)"},
     "--cap": {"type": int, "default": 20, "help": "maximum distinct weight count"},
     "--label": {"help": "label JSON (inline, @file, or '-' for stdin)"},
@@ -370,7 +370,7 @@ _SUBCOMMANDS = (
     ("rep-info", _cmd_rep_info, "dimension, weights, coordinate order", _SPEC),
     ("moment", _cmd_moment, "moment map value of a vector", _MOMENT),
     ("flow", _cmd_flow, "integrate the gradient flow (CSV by default)",
-     _MOMENT + _SETTINGS + ("--format", "--raw")),
+     _MOMENT + _SETTINGS + ("--format",)),
     ("verify-flows", _cmd_verify_flows, "three-flow equivalence report",
      _MOMENT + _SETTINGS + ("--match-tol", "--seed", "--h0")),
     ("label", _cmd_label, "exact Hesselink label of a vector", _VECTOR),

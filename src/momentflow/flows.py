@@ -7,7 +7,8 @@ the moment map").  As <pi(m(v)) v, v> = F(v) |v|^2, that field also decays
 |v| at rate F, which says nothing about the direction; ``gradient_flow``
 therefore integrates u = v / |v| itself, u' = -(pi(m(u)) u - F(u) u), on the
 unit sphere and in the same time, so its steps grow as u nears a critical
-direction instead of resolving the decay.
+direction instead of resolving the decay.  The decay |v(t)| = |v0| e^{-int F}
+is what ``coupled_group_flow`` adds: its v block is the raw flow.
 
 All integrations run through one driver, ``_integrate``, which alone decides
 which states are sampled and when a run stops; each flow supplies only its
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cartan import CartanContext, _check_symmetric, _spd_root, _spd_root_and_inverse
-from .momentmap import MomentValue, _moment_matrix, moment, rep_action
+from .momentmap import MomentValue, _moment_matrix, _sphere_velocity, moment, rep_action
 from .reps import (TORUS_WEIGHTS, RepSpec, RepVector, _act, _diagonal_or_raise, _in_range,
                    _invert, apply_group, rep_vector)
 
@@ -56,8 +57,9 @@ STEP_UNDERFLOW = 1e-14
 # Dormand-Prince 5(4) is stable on the negative real axis down to about
 # -3.3, where a decaying mode is no longer damped (|R(z)| -> 1): near a
 # stable limit the error control then keeps dt there and the state hovers
-# at the local error target instead of converging.  A run with
-# ``damp_stiff`` keeps dt * rho at most this, where |R(-2)| is about 0.17.
+# at the local error target instead of converging.  Every run keeps
+# dt * rho at most this, where |R(-2)| is about 0.17 (Hairer-Wanner,
+# *Solving ODEs II*, IV.2).
 STABILITY_CAP = 2.0
 
 
@@ -74,7 +76,6 @@ class FlowParams:
     residual_tol: float = 1e-9
     max_steps: int = 1_000_000
     sample_stride: int = 10
-    renormalize: bool = True
 
     def __post_init__(self):
         # comparisons fail on NaN, so NaN is rejected; t_max may be inf
@@ -178,7 +179,7 @@ def _step_factor(ratio):
 
 
 def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=None,
-               counts=None, damp_stiff=False):
+               counts=None):
     """The adaptive driver shared by all flows.  Returns
     (t, y, status, steps, samples).
 
@@ -191,7 +192,7 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
     (t, y) at t = 0, after every ``params.sample_stride``-th accepted step,
     and at the final state exactly once.  A ``counts`` dict receives the
     number of ``rejected`` attempts and of right-hand-side ``evaluations``.
-    ``damp_stiff`` caps dt * rho at ``STABILITY_CAP``.
+    Every new dt keeps dt * rho at most ``STABILITY_CAP``.
     """
     t = 0.0
     y = np.asarray(y0, dtype=float).copy()
@@ -212,7 +213,7 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
         ratio = _block_error(err, y, blocks) / LOCAL_ERROR_TOL
         taken = dt
         dt *= _step_factor(ratio)
-        if damp_stiff and dt * rho > STABILITY_CAP:
+        if dt * rho > STABILITY_CAP:
             dt = STABILITY_CAP / rho
         if ratio <= 1.0:
             y, dy = (y_new, dy_new) if postprocess is None else postprocess(y_new, dy_new)
@@ -235,73 +236,50 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
     return t, y, status, steps, samples
 
 
-def _sphere_velocity(act, y):
-    """The moment coefficients at y and -(pi(m(y)) y - F(y) y), the gradient
-    flow's velocity less its radial part; it is orthogonal to y, since
-    <pi(m(y)) y, y> = F(y) |y|^2."""
-    coeff, grad = act.moment_and_gradient(y)
-    grad -= float(coeff @ coeff) * y
-    return coeff, -grad
-
-
 def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
                   params: FlowParams | None = None) -> FlowResult:
     """Integrate the direction of v' = -pi(m(v)) v.
 
-    With ``params.renormalize`` (the default) the state is u = v / |v|,
-    integrated as u' = -(pi(m(u)) u - F(u) u) and projected back to the unit
-    sphere after each accepted step; with ``renormalize=False`` v itself is
-    integrated.  The run converges when the criticality residual drops
-    below ``params.residual_tol``.
+    The state is u = v / |v|, integrated as u' = -(pi(m(u)) u - F(u) u) and
+    projected back to the unit sphere after each accepted step, so the
+    samples are unit vectors.  The run converges when the criticality
+    residual drops below ``params.residual_tol``.
     """
     if params is None:
         params = FlowParams()
     act = rep_action(ctx, spec)
-    c0, exponent = _in_range(v0.coords)
-    nrm = np.linalg.norm(c0)
-    if nrm == 0.0:
+    if v0.norm == 0.0:
         raise ValueError("cannot flow the zero vector")
-    if params.renormalize:
-        c0, exponent = c0 / nrm, 0
-
     moments = [None]
 
     def f(y):
         # the moment coefficients are scale-invariant, so renormalizing the
         # state leaves the kept ones valid
-        if params.renormalize:
-            moments[0], dy = _sphere_velocity(act, y)
-            return dy
-        moments[0], grad = act.moment_and_gradient(y)
-        return -grad
+        moments[0], dy = _sphere_velocity(act, y)
+        return dy
 
     energy_trace: list = []
     residual_trace: list = []
 
     def on_state(t, y, dy):
-        # dy is the step's last stage, so moments[0] was evaluated at y; the
-        # residual is |pi(m(y)) y - F(y) y| / |y|, which is |dy| / |y| on the
-        # sphere
+        # dy is the step's last stage, so moments[0] was evaluated at y and
+        # the criticality residual is |dy| / |y|
         fval = float(moments[0] @ moments[0])
-        tangent = dy if params.renormalize else dy + fval * y
-        res = float(np.linalg.norm(tangent) / np.linalg.norm(y))
+        res = float(np.linalg.norm(dy) / np.linalg.norm(y))
         energy_trace.append((t, fval))
         residual_trace.append((t, res))
         return res <= params.residual_tol
 
-    def renormalize(y, dy):
+    def to_sphere(y, dy):
         # f is homogeneous of degree 1, so f(y / |y|) = f(y) / |y|
         nrm = np.linalg.norm(y)
         return y / nrm, dy / nrm
 
-    post = renormalize if params.renormalize else None
     counts: dict = {}
-    # the sphere velocity vanishes at the limit, so only stability bounds dt
-    # there
-    _, y, status, steps, states = _integrate(f, c0, params, [slice(None)], on_state, post,
-                                             counts, damp_stiff=params.renormalize)
+    _, y, status, steps, states = _integrate(f, v0.normalized().coords, params, [slice(None)],
+                                             on_state, to_sphere, counts)
     limit = rep_vector(spec, y / np.linalg.norm(y))
-    return FlowResult(samples=[(t, rep_vector(spec, np.ldexp(y, exponent))) for t, y in states],
+    return FlowResult(samples=[(t, rep_vector(spec, y)) for t, y in states],
                       energy_trace=energy_trace,
                       residual_trace=residual_trace,
                       converged=(status == "converged"),

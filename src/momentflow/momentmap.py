@@ -207,14 +207,18 @@ def translated_moment(ctx: CartanContext, spec: RepSpec, h, v: RepVector) -> Tra
     return TranslatedMoment(matrix=h @ m @ hinv)
 
 
-def _energy_and_residual(act: RepAction, coords: np.ndarray) -> tuple[float, float]:
-    """F(v) and the criticality residual of v, on a coordinate array."""
+def _sphere_velocity(act: RepAction, coords: np.ndarray):
+    """The moment coefficients at v and -(pi(m(v)) v - F(v) v), the gradient
+    flow's velocity less its radial part, on a coordinate array; it is
+    orthogonal to v, since <pi(m(v)) v, v> = F(v) |v|^2."""
     coeff, grad = act.moment_and_gradient(coords)
-    f = float(coeff @ coeff)
-    return f, float(np.linalg.norm(grad - f * coords) / np.linalg.norm(coords))
+    grad -= float(coeff @ coeff) * coords
+    return coeff, -grad
 
 
 def criticality_residual(ctx: CartanContext, spec: RepSpec, v: RepVector) -> float:
     """||pi(m(v)) v - F(v) v|| / ||v||; zero exactly at fixed directions of
     the gradient flow."""
-    return _energy_and_residual(rep_action(ctx, spec), _in_range(v.coords)[0])[1]
+    coords = _in_range(v.coords)[0]
+    return float(np.linalg.norm(_sphere_velocity(rep_action(ctx, spec), coords)[1])
+                 / np.linalg.norm(coords))

@@ -430,10 +430,13 @@ def weight_components(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12
     """Nonzero weight components of v.
 
     Components with norm <= zero_tol * ||v|| are dropped.  Raises ValueError
-    for v = 0.
+    for v = 0 and for a zero_tol outside [0, 1), which would keep a zero
+    component or drop every one.
     """
     if v.spec != spec:
         raise ValueError("vector does not belong to spec")
+    if not 0 <= zero_tol < 1:
+        raise ValueError("zero_tol must lie in [0, 1)")
     coords = _in_range(v.coords)[0]
     nrm = np.linalg.norm(coords)
     if nrm == 0.0:

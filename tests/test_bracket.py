@@ -96,6 +96,15 @@ def test_critical_bracket_check_requires_criticality():
         critical_bracket_check(build_context(3, "GL"), zero)
 
 
+@pytest.mark.parametrize("tol", ["residual_tol", "derivation_tol"])
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1e-9])
+def test_critical_bracket_check_rejects_non_positive_tolerances(tol, value):
+    # derivation_tol = nan used to report is_derivation false
+    ctx = build_context(3, "GL")
+    with pytest.raises(ValueError, match="must be positive"):
+        critical_bracket_check(ctx, bracket_preset("heisenberg", 3), **{tol: value})
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_chain_flow_limits_have_positive_derivations(n):
     ctx = build_context(n, "GL")

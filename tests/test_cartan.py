@@ -111,6 +111,13 @@ def test_spd_sqrt_errors():
         spd_sqrt(np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spd_sqrt_rejects_non_finite_entries(bad):
+    # a NaN entry used to pass the symmetry check and give an all-NaN root
+    with pytest.raises(ValueError, match="spd_sqrt input must be finite"):
+        spd_sqrt(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 def test_parabolic_zero_beta_is_everything():
     ctx = build_context(3, "GL")
     basis = parabolic_lie_algebra(ctx, np.zeros((3, 3)))
@@ -155,6 +162,14 @@ def test_parabolic_rejects_nonsymmetric():
     ctx = build_context(2, "GL")
     with pytest.raises(ValueError):
         parabolic_lie_algebra(ctx, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_parabolic_rejects_non_finite_beta(bad):
+    # a NaN beta used to return a (2, 2, 2) stack
+    ctx = build_context(2, "GL")
+    with pytest.raises(ValueError, match="beta must be finite"):
+        parabolic_lie_algebra(ctx, np.array([[bad, 0.0], [0.0, -1.0]]))
 
 
 def test_weyl_normalize():

@@ -126,18 +126,6 @@ def test_exact_subcommand_stdout_pinned(capsys, case):
     assert _capture(capsys, case["argv"]) == (0, case["stdout"])
 
 
-# stdout of `flow --raw`, recorded before the renormalized flow moved to the
-# sphere: the raw flow integrates v' = -pi(m(v)) v as before, so its floats
-# stay those of this platform's numpy bit for bit
-_RAW_GOLDEN = json.loads(Path(__file__).with_name("cli_raw_flow_golden.json")
-                         .read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("case", _RAW_GOLDEN, ids=[str(k) for k in range(len(_RAW_GOLDEN))])
-def test_raw_flow_stdout_pinned(capsys, case):
-    assert _capture(capsys, case["argv"]) == (0, case["stdout"])
-
-
 def test_extreme_scale_vectors_read_like_unit_ones(capsys):
     # |v|^2 overflows at 1e200 and underflows at 1e-170; before, moment
     # printed NaN, flow called the vector zero and label had no state
@@ -246,15 +234,22 @@ def test_project_sl_non_finite_eta_exit_1(capsys, entry):
 
 @pytest.mark.parametrize("cmd, flag", [(cmd, flag) for cmd in ("flow", "verify-flows")
                                        for flag in ("--t-max", "--dt0", "--tol")]
-                         + [("verify-flows", "--match-tol")])
+                         + [("verify-flows", "--match-tol"), ("bracket", "--tol")])
 def test_nan_flow_settings_exit_1(capsys, cmd, flag):
     # NaN used to pass the positivity checks: the flow integrated nothing
-    # and verify-flows printed "passed": true with a bare NaN
-    vector = "[1,2,0.5,-1,0.3,2,0,1,-2]"
-    code = run([cmd, "--family", "adjoint", "--n", "3", "--vector", vector, flag, "nan"])
-    out = capsys.readouterr()
-    assert code == 1 and out.out == ""
-    assert out.err.startswith("error: ") and "coordinates" not in out.err
+    # and verify-flows printed "passed": true with a bare NaN; bracket
+    # compared against its --tol unchecked, so nan, -1 and 5 exited 0
+    if cmd == "bracket":
+        argvs = [["bracket", "--preset", "heisenberg", "--n", "3", flag, value]
+                 for value in ("nan", "-1", "5")]
+    else:
+        vector = "[1,2,0.5,-1,0.3,2,0,1,-2]"
+        argvs = [[cmd, "--family", "adjoint", "--n", "3", "--vector", vector, flag, "nan"]]
+    for argv in argvs:
+        code = run(argv)
+        out = capsys.readouterr()
+        assert code == 1 and out.out == "", argv
+        assert out.err.startswith("error: ") and "coordinates" not in out.err
 
 
 def test_torus_weights_via_flag(capsys):
@@ -351,7 +346,7 @@ _FLAGS_READ = {
     "rep-info": {"--family", "--n", "--weights"},
     "moment": {"--family", "--n", "--weights", "--vector", "--group"},
     "flow": {"--family", "--n", "--weights", "--vector", "--group", "--config", "--t-max",
-             "--dt0", "--tol", "--format", "--raw"},
+             "--dt0", "--tol", "--format"},
     "verify-flows": {"--family", "--n", "--weights", "--vector", "--group", "--config",
                      "--t-max", "--dt0", "--tol", "--match-tol", "--seed", "--h0"},
     "label": {"--family", "--n", "--weights", "--vector"},
@@ -370,7 +365,7 @@ def test_each_subcommand_registers_only_the_flags_it_reads():
                          if opt not in ("-h", "--help")}
                   for name, p in sub.choices.items()}
     assert registered == _FLAGS_READ
-    assert sum(len(flags) for flags in registered.values()) == 53
+    assert sum(len(flags) for flags in registered.values()) == 52
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,6 +381,14 @@ def test_each_subcommand_registers_only_the_flags_it_reads():
     ["jordan", "--partition", "3,2", "--n", "5"],
     ["bracket", "--preset", "heisenberg", "--n", "3", "--group", "SL"],
     ["project-sl", "--eta", "[1,0]", "--config", "cfg"],
+    # the raw flow is gone with --raw; these argvs used to print its trajectory
+    pytest.param(["flow", "--family", "adjoint", "--n", "3", "--vector", "[0,1,0,0,0,2,0,0,0]",
+                  "--format", "json", "--raw"], id="flow-raw-adjoint3"),
+    pytest.param(["flow", "--family", "adjoint", "--n", "4", "--vector",
+                  "[-2,-4,-16,-8,1,-6,-24,-8,-1,0,0,-1,2,4,16,8]", "--format", "json", "--raw"],
+                 id="flow-raw-adjoint4"),
+    pytest.param(["flow", "--weights", "[[1,0],[0,1],[-1,2]]", "--vector", "[1,1,1]", "--raw"],
+                 id="flow-raw-torus"),
 ], ids=lambda argv: argv[0])
 def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

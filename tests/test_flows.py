@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,7 @@ from momentflow import (FlowParams, SpdMetric, adjoint, adjoint_from_matrix,
                         apply_group, apply_lie, brackets, build_context,
                         closed_form_moment, coupled_group_flow, criticality_residual,
                         flow_trajectory_csv, gradient_flow, lambda2, metric_flow,
-                        optimal_class, rep_vector, standard, torus_weights,
+                        moment, optimal_class, rep_vector, standard, torus_weights,
                         verify_flow_equivalence)
 from momentflow.bracket import bracket_preset
 from momentflow.minnorm import min_norm_point
@@ -232,6 +231,10 @@ def test_spd_metric_validation():
         SpdMetric(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         SpdMetric(np.diag([1.0, -1.0]))
+    # diag(1, inf) used to be accepted
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="metric must be finite"):
+            SpdMetric(np.diag([1.0, bad]))
 
 
 def test_verify_flow_equivalence_standard(rng):
@@ -443,7 +446,7 @@ def test_trajectories_match_scipy_dop853(rng, spec):
     n = spec.n
     ctx = build_context(n, "GL")
     vbar = random_vector(rng, spec)
-    params = FlowParams(t_max=2.0, sample_stride=1, renormalize=False)
+    params = FlowParams(t_max=2.0, sample_stride=1)
 
     def reference(f, y0, times):
         sol = solve_ivp(lambda t, y: f(y), (0.0, 2.0), y0, method="DOP853",
@@ -457,16 +460,18 @@ def test_trajectories_match_scipy_dop853(rng, spec):
     def gradient_velocity(c):
         return -apply_lie(spec, closed_m(c), rep_vector(spec, c)).coords
 
-    # the velocity is homogeneous of degree 1, so the renormalized flow is
-    # the raw one divided by its norm
-    for renormalize in (False, True):
-        flow = gradient_flow(ctx, spec, vbar, replace(params, renormalize=renormalize))
-        times = [t for t, _ in flow.samples]
+    # the velocity is homogeneous of degree 1, so the direction flow is the
+    # raw one divided by its norm; the raw flow itself is the v block of the
+    # group flow from h0 = I
+    flow = gradient_flow(ctx, spec, vbar, params)
+    coupled = coupled_group_flow(ctx, spec, vbar, np.eye(n), params)
+    for samples, on_sphere in ((flow.samples, True), (coupled.v_samples, False)):
+        times = [t for t, _ in samples]
         expected = reference(gradient_velocity, vbar.coords, times)
-        if renormalize:
+        if on_sphere:
             expected /= np.linalg.norm(expected, axis=1, keepdims=True)
         assert len(times) > 10
-        for (_, v), ref in zip(flow.samples, expected):
+        for (_, v), ref in zip(samples, expected):
             assert np.linalg.norm(v.coords - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def metric_velocity(y):
@@ -550,8 +555,7 @@ def test_torus_flow_limit_moment_is_min_norm_point(case):
 def test_sphere_velocity_is_tangent(rng, group):
     # <pi(m(y)) y, y> = F(y) |y|^2, so removing F(y) y leaves a velocity
     # orthogonal to y: the flow moves the direction only
-    from momentflow.flows import _sphere_velocity
-    from momentflow.momentmap import rep_action
+    from momentflow.momentmap import _sphere_velocity, rep_action
     from momentflow.reps import dual
     ctx = build_context(3, group)
     torus = torus_weights([(1, 0, 0), (0, 1, 0), (-1, -1, 2), (2, -1, 0)])
@@ -600,16 +604,14 @@ def test_direction_flow_work_counters(monkeypatch):
         assert max_steps is None or res.steps <= max_steps
 
 
-@pytest.mark.parametrize("renormalize", [True, False])
-def test_flows_at_extreme_scales_match_the_unscaled_vector(rng, renormalize):
+def test_flows_at_extreme_scales_match_the_unscaled_vector(rng):
     # u's largest entry is in [1/2, 1), so 2^(+-600) u is rescaled to u
-    # exactly; the renormalized flow is u's, and the raw flow's samples are
-    # u's scaled back
+    # exactly, and the direction flow is u's
     ctx = build_context(3, "GL")
     spec = adjoint(3)
     c = rng.normal(size=spec.dim)
     u = rep_vector(spec, 0.75 * c / np.abs(c).max())
-    params = FlowParams(t_max=3.0, sample_stride=1, renormalize=renormalize)
+    params = FlowParams(t_max=3.0, sample_stride=1)
     base = gradient_flow(ctx, spec, u, params)
     h0 = random_well_conditioned(rng, 3)
     report = verify_flow_equivalence(ctx, spec, u, h0, 1.0)
@@ -619,10 +621,33 @@ def test_flows_at_extreme_scales_match_the_unscaled_vector(rng, renormalize):
         assert (res.steps, res.energy_trace, res.residual_trace) == (
             base.steps, base.energy_trace, base.residual_trace)
         assert np.array_equal(res.limit.coords, base.limit.coords)
-        shift = 0 if renormalize else k
         for (t, w), (s, x) in zip(res.samples, base.samples, strict=True):
-            assert t == s and np.array_equal(w.coords, np.ldexp(x.coords, shift))
+            assert t == s and np.array_equal(w.coords, x.coords)
         assert verify_flow_equivalence(ctx, spec, v, h0, 1.0) == report
+
+
+def test_raw_flow_of_a_tiny_vector_is_the_scaled_unit_run():
+    # v block of the group flow from h0 = I is the raw flow v' = -pi(m(v)) v;
+    # the step error is relative to max(1, |block|), so at 1e-100 the h block
+    # sets the steps.  The raw gradient flow, integrated alone at that scale,
+    # took 6 steps and stopped at spectrum (1, 0, -1), residual 5.4e-4.
+    ctx = build_context(3, "GL")
+    x = _e(3, 0, 1) + 2.0 * _e(3, 1, 2)
+    params = FlowParams(t_max=20.0)
+    unit = coupled_group_flow(ctx, adjoint(3), adjoint_from_matrix(x), np.eye(3), params)
+    vbar = adjoint_from_matrix(1e-100 * x)
+    tiny = coupled_group_flow(ctx, adjoint(3), vbar, np.eye(3), params)
+    assert unit.status == tiny.status == "t_max"
+    (t, v), (s, u) = tiny.v_samples[-1], unit.v_samples[-1]
+    assert t == s == 20.0
+    assert np.linalg.norm(v.coords - 1e-100 * u.coords) <= 1e-8 * np.linalg.norm(v.coords)
+    assert np.abs(tiny.h_samples[-1][1] - unit.h_samples[-1][1]).max() <= 1e-8 * np.abs(
+        unit.h_samples[-1][1]).max()
+    # along the run v(t) = rho(h(t)) vbar
+    for (_, v), (_, h) in zip(tiny.v_samples, tiny.h_samples, strict=True):
+        pred = apply_group(vbar.spec, h, vbar).coords
+        assert np.linalg.norm(v.coords - pred) <= 1e-8 * np.linalg.norm(v.coords)
+    assert np.abs(moment(ctx, vbar.spec, v).spectrum - [0.5, 0.0, -0.5]).max() <= 1e-6
 
 
 def test_equivalence_fails_a_run_that_stops_short():

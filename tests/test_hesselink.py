@@ -349,6 +349,19 @@ def test_stratum_membership_matches_state_oracle(case):
     assert rep.in_U_ge0 == in_u
 
 
+@pytest.mark.parametrize("zero_tol", [-1.0, 1.0, 2.0, float("nan")])
+def test_zero_tol_outside_unit_interval_rejected(zero_tol):
+    # zero_tol = -1 kept every coordinate, so E12 looked semistable; NaN
+    # dropped every component and left an empty state
+    spec = adjoint(2)
+    v = adjoint_from_matrix(_e(2, 0, 1))
+    with pytest.raises(ValueError, match="zero_tol must lie in"):
+        optimal_class(spec, v, zero_tol=zero_tol)
+    with pytest.raises(ValueError, match="zero_tol must lie in"):
+        stratum_membership(spec, v, HesselinkLabel.from_eta((1, -1)), zero_tol=zero_tol)
+    assert optimal_class(spec, v, zero_tol=0.0).eta == (F(1), F(-1))
+
+
 def test_stratum_membership_errors():
     spec = adjoint(2)
     label = HesselinkLabel.from_eta((1, -1))
