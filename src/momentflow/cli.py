@@ -20,7 +20,8 @@ import numpy as np
 from . import bracket as bracketmod
 from . import hesselink, jordan
 from .cartan import build_context
-from .flows import FlowParams, flow_trajectory_csv, gradient_flow, verify_flow_equivalence
+from .flows import (FlowError, FlowParams, flow_trajectory_csv, gradient_flow,
+                    verify_flow_equivalence)
 from .hesselink import _fraction_str
 from .momentmap import closed_form_moment, criticality_residual, moment
 from .reps import (TORUS_WEIGHTS, RepSpec, canonical_family, rep_vector,
@@ -411,7 +412,7 @@ def run(argv: list[str]) -> int:
             code = args.func(args)
         except UsageError as exc:
             code, error = 2, exc
-        except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, FlowError, OSError, KeyError, json.JSONDecodeError) as exc:
             code, error = 1, exc
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)

@@ -35,8 +35,7 @@ import numpy as np
 
 from .cartan import CartanContext, _check_symmetric, _spd_root, _spd_root_and_inverse
 from .momentmap import MomentValue, _moment_matrix, _sphere_velocity, moment, rep_action
-from .reps import (TORUS_WEIGHTS, RepSpec, RepVector, _act, _diagonal_or_raise, _in_range,
-                   _invert, apply_group, rep_vector)
+from .reps import RepSpec, RepVector, _act, _checked_in_range, _invert, apply_group, rep_vector
 
 __all__ = [
     "FlowParams",
@@ -248,7 +247,9 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
     if params is None:
         params = FlowParams()
     act = rep_action(ctx, spec)
-    if v0.norm == 0.0:
+    coords = _checked_in_range(spec, v0)[0]
+    nrm = np.linalg.norm(coords)
+    if nrm == 0.0:
         raise ValueError("cannot flow the zero vector")
     moments = [None]
 
@@ -276,7 +277,7 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
         return y / nrm, dy / nrm
 
     counts: dict = {}
-    _, y, status, steps, states = _integrate(f, v0.normalized().coords, params, [slice(None)],
+    _, y, status, steps, states = _integrate(f, coords / nrm, params, [slice(None)],
                                              on_state, to_sphere, counts)
     limit = rep_vector(spec, y / np.linalg.norm(y))
     return FlowResult(samples=[(t, rep_vector(spec, y)) for t, y in states],
@@ -296,14 +297,16 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
     the group element h' = -m(v(t)) h, h(0) = h0.
 
     Along exact solutions v(t) = rho(h(t)) vbar, which is what
-    :func:`verify_flow_equivalence` measures.
+    :func:`verify_flow_equivalence` measures.  A vbar of extreme scale is
+    integrated rescaled by a power of two, and its v samples scaled back.
     """
     if params is None:
         params = FlowParams()
     act = rep_action(ctx, spec)
     n = ctx.n
     h0 = np.asarray(h0, dtype=float)
-    v0 = apply_group(spec, h0, vbar)
+    coords, exponent = _checked_in_range(spec, vbar)
+    v0 = apply_group(spec, h0, RepVector(spec, coords))
     if v0.norm == 0.0:
         raise ValueError("cannot flow the zero vector")
     d = spec.dim
@@ -317,18 +320,10 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
         return np.concatenate([-grad, -(_moment_matrix(ctx, coeff) @ h).reshape(-1)])
 
     _, _, status, _, states = _integrate(f, y0, params, blocks)
-    return CoupledFlowResult(v_samples=[(t, rep_vector(spec, y[:d])) for t, y in states],
+    return CoupledFlowResult(v_samples=[(t, rep_vector(spec, np.ldexp(y[:d], exponent)))
+                                        for t, y in states],
                              h_samples=[(t, y[d:].reshape(n, n).copy()) for t, y in states],
                              status=status)
-
-
-def _rho(spec, h, c, hinv=None):
-    """rho(h) c on raw arrays, inverting h unless ``hinv`` is given; on a
-    torus module h must stay diagonal."""
-    if spec.family == TORUS_WEIGHTS:
-        _diagonal_or_raise(h, "h")
-        return _act(spec, h, None, c)
-    return _act(spec, h, np.linalg.inv(h) if hinv is None else hinv, c)
 
 
 def _sym(y, n):
@@ -337,18 +332,23 @@ def _sym(y, n):
     return 0.5 * (m + m.T)
 
 
-def _moment_at(ctx, act, h, vbar, hinv=None):
-    """m(rho(h) vbar) as a matrix; ``vbar`` is a coordinate array."""
-    return _moment_matrix(ctx, act.moment_coefficients(_rho(act.spec, h, vbar, hinv)))
+def _moment_at(ctx, act, h, hinv, vbar):
+    """m(rho(h) vbar) as a matrix, with hinv = h^{-1}; ``vbar`` is a
+    coordinate array."""
+    return _moment_matrix(ctx, act.moment_coefficients(_act(act.spec, h, hinv, vbar)))
 
 
 def _metric_velocity(ctx, act, vbar, y):
     """S' = -(M^T S + S M) with M = h^{-1} m(rho(h) vbar) h, h = sqrt(S),
-    on the flattened S; ``vbar`` is a coordinate array."""
+    on the flattened S; ``vbar`` is a coordinate array.  Raises FlowError
+    when S is not positive definite."""
     n = ctx.n
     s = _sym(y, n)
-    h, hinv = _spd_root_and_inverse(s)
-    big = hinv @ _moment_at(ctx, act, h, vbar, hinv) @ h
+    try:
+        h, hinv = _spd_root_and_inverse(s)
+    except ValueError as exc:
+        raise FlowError(f"metric lost positivity: {exc}") from exc
+    big = hinv @ _moment_at(ctx, act, h, hinv, vbar) @ h
     return _sym(-(big.T @ s + s @ big), n).reshape(-1)
 
 
@@ -358,26 +358,25 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
 
     The coset representative is always the SPD square root, which makes the
     driving term independent of the orthogonal factor.  vbar and sqrt(S0)
-    pass ``apply_group``'s checks at entry.  Positivity is checked at every
-    accepted step; losing it aborts with a FlowError.
+    pass ``apply_group``'s checks at entry, and a vbar of extreme scale is
+    rescaled by a power of two, which leaves m and so the flow unchanged.
+    Positivity is checked in every right-hand side evaluation; losing it
+    aborts with a FlowError.
     """
     if params is None:
         params = FlowParams()
-    if vbar.norm == 0.0:
+    coords = _checked_in_range(spec, vbar)[0]
+    if not coords.any():
         raise ValueError("cannot flow the zero vector")
     n = ctx.n
-    # checks vbar's spec, the condition of sqrt(S0) and, on a torus, its diagonal
-    apply_group(spec, _spd_root(_sym(s0.S, n)), vbar)
+    # checks the condition of sqrt(S0) and, on a torus, its diagonal
+    apply_group(spec, _spd_root(_sym(s0.S, n)), RepVector(spec, coords))
     act = rep_action(ctx, spec)
 
     def f(y):
-        return _metric_velocity(ctx, act, vbar.coords, y)
+        return _metric_velocity(ctx, act, coords, y)
 
-    def on_state(t, y, dy):
-        if np.linalg.eigvalsh(_sym(y, n))[0] <= 0.0:
-            raise FlowError(f"metric lost positivity at t = {t:.6g}")
-
-    _, y, _, _, states = _integrate(f, s0.S.reshape(-1), params, [slice(None)], on_state)
+    _, y, _, _, states = _integrate(f, s0.S.reshape(-1), params, [slice(None)])
     _invert(_spd_root(_sym(y, n)))  # warns if S(t) ended ill-conditioned
     return [(t, SpdMetric(_sym(y, n))) for t, y in states]
 
@@ -404,7 +403,7 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     act = rep_action(ctx, spec)
     n = ctx.n
     h0 = np.asarray(h0, dtype=float)
-    vbar = RepVector(vbar.spec, _in_range(vbar.coords)[0])
+    vbar = RepVector(spec, _checked_in_range(spec, vbar)[0])
     v0 = apply_group(spec, h0, vbar)
     # the vector block is integrated at the scale h0 gives it, so a v0 whose
     # |v0|^2 underflows cannot be flowed
@@ -419,7 +418,7 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
         c = y[:d]
         h = y[d:d + n2].reshape(n, n)
         dv = -act.gradient(c)
-        dh = -(_moment_at(ctx, act, h, vbar.coords) @ h)
+        dh = -(_moment_at(ctx, act, h, np.linalg.inv(h), vbar.coords) @ h)
         ds = _metric_velocity(ctx, act, vbar.coords, y[d + n2:])
         return np.concatenate([dv, dh.reshape(-1), ds])
 
@@ -429,7 +428,7 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
         c = y[:d]
         h = y[d:d + n2].reshape(n, n)
         s = y[d + n2:].reshape(n, n)
-        pred = _rho(spec, h, vbar.coords)
+        pred = _act(spec, h, np.linalg.inv(h), vbar.coords)
         dev_v = np.linalg.norm(c - pred) / np.linalg.norm(c)
         dev_s = np.linalg.norm(s - h.T @ h) / np.linalg.norm(s)
         # np.maximum keeps a NaN deviation, which then fails the check

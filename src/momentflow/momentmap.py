@@ -20,7 +20,7 @@ import numpy as np
 
 from .cartan import CartanContext
 from .reps import (ADJOINT, DUAL, LAMBDA2, STANDARD, TORUS_WEIGHTS, RepSpec, RepVector,
-                   _in_range, _lie, apply_group, brackets_tensor, lambda2_to_matrix)
+                   _checked_in_range, _lie, apply_group, brackets_tensor, lambda2_to_matrix)
 
 __all__ = [
     "MomentValue",
@@ -140,7 +140,7 @@ def _moment_value(ctx: CartanContext, coeff: np.ndarray) -> MomentValue:
 
 def moment(ctx: CartanContext, spec: RepSpec, v: RepVector) -> MomentValue:
     """Moment map value of v, via the p-basis expansion."""
-    coeff = rep_action(ctx, spec).moment_coefficients(_in_range(v.coords)[0])
+    coeff = rep_action(ctx, spec).moment_coefficients(_checked_in_range(spec, v)[0])
     return _moment_value(ctx, coeff)
 
 
@@ -158,7 +158,7 @@ def closed_form_moment(spec: RepSpec, v: RepVector) -> MomentValue:
     fam = spec.family
     if fam == TORUS_WEIGHTS:
         raise ValueError("no closed form for a TorusWeights family")
-    v = RepVector(v.spec, _in_range(v.coords)[0])
+    v = RepVector(spec, _checked_in_range(spec, v)[0])
     c = v.coords
     nrm2 = float(c @ c)
     if nrm2 < ZERO_NORM_FLOOR:
@@ -219,6 +219,6 @@ def _sphere_velocity(act: RepAction, coords: np.ndarray):
 def criticality_residual(ctx: CartanContext, spec: RepSpec, v: RepVector) -> float:
     """||pi(m(v)) v - F(v) v|| / ||v||; zero exactly at fixed directions of
     the gradient flow."""
-    coords = _in_range(v.coords)[0]
+    coords = _checked_in_range(spec, v)[0]
     return float(np.linalg.norm(_sphere_velocity(rep_action(ctx, spec), coords)[1])
                  / np.linalg.norm(coords))

@@ -20,10 +20,12 @@ Lambda2 and Brackets are antisymmetric in their last two slots.  Coordinates
 run over the pairs i < j of those slots first (lexicographic), then over the
 other slots row-major, the last fastest: Adjoint uses E_ij row-major, Lambda2
 E_ij - E_ji, Brackets c^l_{ij} with pairs outer and target l fastest, scaled
-by sqrt(2).  Dimension, weights, the Lie action and the coordinate bridges
-all derive from the slot signs and this rule; the weights and weight spaces
-of a spec are built once and cached.  The invariant inner product on each
-space is then the plain dot product of coordinates: tr(x^T y) on gl_n,
+by sqrt(2).  Dimension, weights, the group and Lie actions and the
+coordinate bridges all derive from the slot signs and this rule: both
+actions apply one matrix to one slot at a time (``_on_slot``), rho(g) by
+composing and pi(X) by summing over the slots.  The weights and weight
+spaces of a spec are built once and cached.  The invariant inner product on
+each space is then the plain dot product of coordinates: tr(x^T y) on gl_n,
 -tr(AB)/2 on skew matrices, and for brackets the sum over *ordered* pairs
 (i, j) of <mu(e_i,e_j), mu'(e_i,e_j)>.
 """
@@ -217,6 +219,14 @@ def _in_range(coords: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(coords, -exponent), exponent
 
 
+def _checked_in_range(spec: RepSpec, v: RepVector) -> tuple[np.ndarray, int]:
+    """``_in_range(v.coords)``, after checking that v belongs to spec: the
+    entry of every computation that takes a spec and a vector."""
+    if v.spec != spec:
+        raise ValueError("vector does not belong to spec")
+    return _in_range(v.coords)
+
+
 def rep_vector(spec: RepSpec, coords) -> RepVector:
     return RepVector(spec, np.asarray(coords, dtype=float))
 
@@ -241,18 +251,21 @@ def adjoint_from_matrix(x) -> RepVector:
 def _tensor(spec: RepSpec, c: np.ndarray) -> np.ndarray:
     """Tensor of raw coordinates c (leading batch axes allowed), in
     coordinate scale: the sqrt(2) of Brackets is left in place, so the
-    linear actions keep exact inputs exact."""
+    linear actions keep exact inputs exact.  Without an antisymmetric pair
+    it is c itself, the tensor flattened row-major."""
     shape, idx, swapped = _index(spec.family, spec.n)
+    if swapped is None:
+        return c
     t = np.zeros(c.shape[:-1] + shape)
     t[idx] = c
-    if swapped is not None:
-        t[swapped] = -c
+    t[swapped] = -c
     return t
 
 
 def _coords(spec: RepSpec, t: np.ndarray) -> np.ndarray:
     """Raw coordinates of a tensor; inverse of ``_tensor``."""
-    return t[_index(spec.family, spec.n)[1]]
+    _, idx, swapped = _index(spec.family, spec.n)
+    return t[idx] if swapped else t
 
 
 def lambda2_to_matrix(v: RepVector) -> np.ndarray:
@@ -326,22 +339,25 @@ def _invert(g: np.ndarray) -> np.ndarray:
     return ginv
 
 
+def _on_slot(m: np.ndarray, t: np.ndarray, s: int, r: int) -> np.ndarray:
+    """The matrix m applied to slot s of a tensor t with r slots, in t's
+    shape; leading batch axes are allowed, and the slots may be flattened
+    into one axis.  The one contraction both actions are built from."""
+    n = m.shape[0]
+    return (m @ t.reshape(-1, n, n ** (r - s - 1))).reshape(t.shape)
+
+
 def _act(spec: RepSpec, g: np.ndarray, ginv: np.ndarray | None, c: np.ndarray) -> np.ndarray:
     """rho(g) on raw coordinates, with no checks: g is a square float array,
-    ginv its inverse (unused for TorusWeights, where g must be diagonal)."""
-    fam = spec.family
-    n = spec.n
-    if fam == STANDARD:
-        return g @ c
-    if fam == DUAL:
-        return ginv.T @ c
-    if fam == ADJOINT:
-        return (g @ c.reshape(n, n) @ ginv).reshape(-1)
-    if fam == LAMBDA2:
-        return _coords(spec, g @ _tensor(spec, c) @ g.T)
-    if fam == BRACKETS:
-        return _coords(spec, np.einsum("lm,mab,ai,bj->lij", g, _tensor(spec, c), ginv, ginv))
-    return np.prod(np.diagonal(g)[None, :] ** _weight_spaces(spec)[0], axis=1) * c
+    ginv its inverse (unused for TorusWeights, where only the diagonal of g
+    is read).  Slot s carries g or g^{-T} as its sign says, one at a time."""
+    if spec.family == TORUS_WEIGHTS:
+        return np.prod(np.diagonal(g)[None, :] ** _weight_spaces(spec)[0], axis=1) * c
+    signs = _SLOTS[spec.family]
+    t = _tensor(spec, c)
+    for s, sign in enumerate(signs):
+        t = _on_slot(g if sign > 0 else ginv.T, t, s, len(signs))
+    return _coords(spec, t)
 
 
 def apply_group(spec: RepSpec, g, v: RepVector) -> RepVector:
@@ -354,8 +370,7 @@ def apply_group(spec: RepSpec, g, v: RepVector) -> RepVector:
     Flows validate their group element once at entry and run ``_act``
     inside the integrator.
     """
-    if v.spec != spec:
-        raise ValueError("vector does not belong to spec")
+    _checked_in_range(spec, v)
     g = _check_square(g, spec.n, "g")
     if spec.family == TORUS_WEIGHTS:
         if np.any(_diagonal_or_raise(g, "g") == 0.0):
@@ -369,25 +384,22 @@ def apply_group(spec: RepSpec, g, v: RepVector) -> RepVector:
 def _lie(spec: RepSpec, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """pi(X) on raw coordinates c, with any leading batch axes and no checks.
 
-    Slot s acts by X or -X^T as its sign says; the slots' einsums are
+    Slot s acts by X or -X^T as its sign says; the slots' terms are
     accumulated in place, in slot order.
     """
     if spec.family == TORUS_WEIGHTS:
         return (_weight_spaces(spec)[0] @ np.diagonal(x)) * c
     signs = _SLOTS[spec.family]
     t = _tensor(spec, c)
-    out = np.zeros_like(t)
-    axes = "abc"[:len(signs)]
+    out = np.zeros(t.shape)
     for s, sign in enumerate(signs):
-        m = x if sign > 0 else -x.T
-        out += np.einsum(f"{axes[s]}m,...{axes[:s]}m{axes[s + 1:]}->...{axes}", m, t)
+        out += _on_slot(x if sign > 0 else -x.T, t, s, len(signs))
     return _coords(spec, out)
 
 
 def apply_lie(spec: RepSpec, x, v: RepVector) -> RepVector:
     """Apply pi(X) = (d/dt) rho(exp tX)|_0 to v."""
-    if v.spec != spec:
-        raise ValueError("vector does not belong to spec")
+    _checked_in_range(spec, v)
     x = _check_square(x, spec.n, "X")
     if spec.family == TORUS_WEIGHTS:
         _diagonal_or_raise(x, "X")
@@ -433,11 +445,9 @@ def weight_components(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12
     for v = 0 and for a zero_tol outside [0, 1), which would keep a zero
     component or drop every one.
     """
-    if v.spec != spec:
-        raise ValueError("vector does not belong to spec")
+    coords = _checked_in_range(spec, v)[0]
     if not 0 <= zero_tol < 1:
         raise ValueError("zero_tol must lie in [0, 1)")
-    coords = _in_range(v.coords)[0]
     nrm = np.linalg.norm(coords)
     if nrm == 0.0:
         raise ValueError("zero vector has no state")

@@ -457,3 +457,15 @@ def test_verify_flows_torus_rejects_non_diagonal_h0(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "TorusWeights only acts through diagonal matrices; g is not diagonal" in err
+
+
+def test_flow_error_exits_1(capsys, monkeypatch):
+    from momentflow import FlowError, cli
+
+    def lose_positivity(*args, **kwargs):
+        raise FlowError("metric lost positivity")
+
+    monkeypatch.setattr(cli, "verify_flow_equivalence", lose_positivity)
+    code = run(["verify-flows", "--family", "standard", "--n", "2", "--vector", "[1,0]"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: metric lost positivity\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import sqrtm
 
-from momentflow import (FlowParams, SpdMetric, adjoint, adjoint_from_matrix,
+from momentflow import (FlowError, FlowParams, SpdMetric, adjoint, adjoint_from_matrix,
                         apply_group, apply_lie, brackets, build_context,
                         closed_form_moment, coupled_group_flow, criticality_residual,
                         flow_trajectory_csv, gradient_flow, lambda2, metric_flow,
@@ -648,6 +648,60 @@ def test_raw_flow_of_a_tiny_vector_is_the_scaled_unit_run():
         pred = apply_group(vbar.spec, h, vbar).coords
         assert np.linalg.norm(v.coords - pred) <= 1e-8 * np.linalg.norm(v.coords)
     assert np.abs(moment(ctx, vbar.spec, v).spectrum - [0.5, 0.0, -0.5]).max() <= 1e-6
+
+
+def test_gradient_flow_rejects_a_vector_of_another_spec():
+    # adjoint(2) and standard(4) have the same dimension; the limit used to
+    # come back labelled standard(4)
+    with pytest.raises(ValueError, match="does not belong"):
+        gradient_flow(build_context(4, "GL"), standard(4), adjoint_from_matrix(_e(2, 0, 1)))
+
+
+def test_metric_flow_of_a_power_of_two_multiple_is_bit_identical():
+    # m is scale-invariant and 2^-700 x is rescaled by a power of two, which
+    # scales every product of the moment map exactly; unrescaled, 1e-200 x
+    # had a "zero" moment map and 1e200 x overflowed it
+    ctx = build_context(3, "GL")
+    x = _e(3, 0, 1) + 2.0 * _e(3, 1, 2)
+    s0 = SpdMetric(np.eye(3) + 0.1 * (_e(3, 0, 1) + _e(3, 1, 0)))
+    params = FlowParams(t_max=5.0, sample_stride=1)
+    base = metric_flow(ctx, adjoint(3), adjoint_from_matrix(x), s0, params)
+    for k in (-700, 700):
+        run = metric_flow(ctx, adjoint(3), adjoint_from_matrix(np.ldexp(x, k)), s0, params)
+        assert len(run) == len(base)
+        for (t, s), (u, r) in zip(run, base):
+            assert t == u and np.array_equal(s.S, r.S)
+    for scale in (1e-200, 1e200):
+        run = metric_flow(ctx, adjoint(3), adjoint_from_matrix(scale * x), s0, params)
+        assert run[-1][0] == 5.0
+        assert np.abs(run[-1][1].S - base[-1][1].S).max() <= 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_coupled_flow_at_extreme_scales_is_the_scaled_unit_run(scale):
+    # unrescaled, 1e-200 x had a "zero" moment map and 1e200 x stopped at
+    # t 0 with dt_underflow
+    ctx = build_context(3, "GL")
+    x = _e(3, 0, 1) + 2.0 * _e(3, 1, 2)
+    params = FlowParams(t_max=5.0)
+    unit = coupled_group_flow(ctx, adjoint(3), adjoint_from_matrix(x), np.eye(3), params)
+    run = coupled_group_flow(ctx, adjoint(3), adjoint_from_matrix(scale * x), np.eye(3), params)
+    assert run.status == unit.status == "t_max"
+    (t, v), (s, u) = run.v_samples[-1], unit.v_samples[-1]
+    assert t == s == 5.0
+    assert np.linalg.norm(v.coords / scale - u.coords) <= 1e-8 * np.linalg.norm(u.coords)
+    h, k = run.h_samples[-1][1], unit.h_samples[-1][1]
+    assert np.abs(h - k).max() <= 1e-8 * np.abs(k).max()
+
+
+def test_metric_flow_positivity_loss_is_a_flow_error():
+    # S0 = 1e-20 diag(1, 2, 0.5) turns indefinite inside a step's stages,
+    # where the root of S is taken, not at an accepted state
+    ctx = build_context(3, "GL")
+    vbar = adjoint_from_matrix(_e(3, 0, 1) + 2.0 * _e(3, 1, 2))
+    s0 = SpdMetric(1e-20 * np.diag([1.0, 2.0, 0.5]))
+    with pytest.raises(FlowError, match="metric lost positivity"):
+        metric_flow(ctx, adjoint(3), vbar, s0, FlowParams(t_max=5.0))
 
 
 def test_equivalence_fails_a_run_that_stops_short():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -361,6 +363,45 @@ def test_sparse_operator_build_is_deterministic_and_ordered(rng):
                 want = _pi_entries_by_columns(ctx, spec)
                 for field, column in want.items():
                     assert stack[field].tobytes() == column.tobytes(), (spec, group, field)
+
+
+# sha256 of pi_stack at n = 4, fields k, i, j as little-endian int64 and
+# value as little-endian float64, field after field: the bytes the per-family
+# group actions gave before they became the slot kernel
+_PI_STACK_SHA256 = {
+    ("Standard", "GL"): "35ab19900317018be439be494027db8e84ea0151bfaea1a17ac867eb0b53a99b",
+    ("Dual", "GL"): "9c3e73219d82c7a5617cab2eb2e5972b339429a822e7587b6580a80072614bbd",
+    ("Adjoint", "GL"): "41c542865006fb3dbf33766a771db96b892ebefa08c8ef091944dcac521fa6a3",
+    ("Lambda2", "GL"): "932ef334aaebf1344f8bd24a6a78b88042ccee9ef69809181ce1df35c26caa39",
+    ("Brackets", "GL"): "6dd3e162d5c1ef25cc09e256691c42bd53136bc590550ea46790a93437303c8a",
+    ("Standard", "SL"): "35844bbc0c9168fad19f63b204630b4838f8eb83707dc62ef8470e6f1af297fe",
+    ("Dual", "SL"): "e878127362f96357741d0d9cdb5cdaf32bdd998cbd9457cb6b0a8f893fa884cd",
+    ("Adjoint", "SL"): "4374db3bb2fd834472ad1cf374cf17ad1f56d31526d9c035cb62b223156d8fd9",
+    ("Lambda2", "SL"): "169d95ea22918b14ec705b2806329b4efe51188bc5fab7756a302fefa4150696",
+    ("Brackets", "SL"): "670b517404d0a347ae5ca48873553f168e0dbc40c32cbf04c61485f06d6706d1",
+}
+
+
+@pytest.mark.parametrize("family, group", sorted(_PI_STACK_SHA256))
+def test_named_families_keep_their_pi_stack_bytes(family, group):
+    from momentflow.momentmap import RepAction
+    from momentflow.reps import RepSpec
+    stack = RepAction(build_context(4, group), RepSpec(family, 4)).pi_stack
+    data = b"".join(np.ascontiguousarray(stack[f], dtype="<f8" if f == "value" else "<i8")
+                    .tobytes() for f in ("k", "i", "j", "value"))
+    assert hashlib.sha256(data).hexdigest() == _PI_STACK_SHA256[family, group]
+
+
+@pytest.mark.parametrize("entry", [
+    moment, energy, criticality_residual,
+    lambda ctx, spec, v: closed_form_moment(spec, v),
+], ids=["moment", "energy", "criticality_residual", "closed_form_moment"])
+def test_entry_points_reject_a_vector_of_another_spec(entry):
+    # adjoint(2) and standard(4) have the same dimension: m(E12) has spectrum
+    # (1, -1), and read as a standard(4) vector it came out (1, 0, 0, 0)
+    other = adjoint_from_matrix(_e(2, 0, 1))
+    with pytest.raises(ValueError, match="does not belong"):
+        entry(build_context(4, "GL"), standard(4), other)
 
 
 def test_sparse_operator_is_never_dense():

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from momentflow import (adjoint, adjoint_from_matrix, apply_group, apply_lie,
-                        brackets, build_context, dual, lambda2, lambda2_embed,
-                        lambda2_to_matrix, rep_dim, rep_vector, standard,
+from momentflow import (adjoint, adjoint_from_matrix, adjoint_to_matrix, apply_group,
+                        apply_lie, brackets, build_context, dual, lambda2, lambda2_embed,
+                        lambda2_from_matrix, lambda2_to_matrix, rep_dim, rep_vector, standard,
                         torus_weights, vector_from_json, vector_to_json,
                         weight_components, weights_of)
 from momentflow.bracket import BracketTensor, bracket_preset
-from momentflow.reps import RepSpec, _weight_spaces
+from momentflow.reps import RepSpec, _weight_spaces, brackets_from_tensor, brackets_tensor
 
 from conftest import matrix_families, random_orthogonal, random_vector, random_well_conditioned
 
@@ -279,10 +279,31 @@ def test_act_kernel_equals_apply_group(rng):
                                   apply_group(spec, g, v).coords), spec.family
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_group_action_matches_the_family_formulas(rng, n):
+    # reference: each family's action written out on its own objects; the
+    # slot kernel composes g on a +1 slot and g^{-T} on a -1 slot
+    g = random_well_conditioned(rng, n)
+    gi = np.linalg.inv(g)
+    formulas = {
+        standard(n): lambda v: g @ v.coords,
+        dual(n): lambda v: gi.T @ v.coords,
+        adjoint(n): lambda v: (g @ adjoint_to_matrix(v) @ gi).reshape(-1),
+        lambda2(n): lambda v: lambda2_from_matrix(g @ lambda2_to_matrix(v) @ g.T).coords,
+        # (g.mu)(x, y) = g mu(g^{-1} x, g^{-1} y)
+        brackets(n): lambda v: brackets_from_tensor(
+            np.einsum("lm,mab,ai,bj->lij", g, brackets_tensor(v), gi, gi)).coords,
+    }
+    for spec, formula in formulas.items():
+        v = random_vector(rng, spec)
+        want = formula(v)
+        got = apply_group(spec, g, v).coords
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), spec.family
+
+
 def test_pair_bridges_match_pair_loops(rng):
     # reference: the coordinate orders of the module docstring, written out
     # as explicit loops over the pairs i < j
-    from momentflow.reps import brackets_from_tensor, brackets_tensor, lambda2_from_matrix
     n = 4
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     v = random_vector(rng, lambda2(n))
