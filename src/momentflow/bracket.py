@@ -20,7 +20,7 @@ import numpy as np
 
 from .cartan import CartanContext
 from .momentmap import MomentValue, criticality_residual, moment
-from .reps import BRACKETS, SQRT2, RepVector, _tensor, brackets, brackets_from_tensor
+from .reps import BRACKETS, SQRT2, RepVector, _lie, _tensor, brackets, brackets_from_tensor
 
 __all__ = [
     "BracketTensor",
@@ -33,6 +33,8 @@ __all__ = [
 
 JACOBI_TOL = 1e-12
 RANK_TOL = 1e-10
+# the fixed derivation tolerance of the critical-point check
+DERIVATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -160,10 +162,9 @@ def derivation_report(mu: BracketTensor, d) -> DerivationReport:
     n = mu.n
     if d.shape != (n, n):
         raise ValueError(f"D must be {n} x {n}")
-    t = mu.tensor
-    lhs = np.einsum("lm,mij->lij", d, t)
-    rhs = np.einsum("lmj,mi->lij", t, d) + np.einsum("lim,mj->lij", t, d)
-    residual = float(np.linalg.norm((lhs - rhs).reshape(n, -1), axis=0).max(initial=0.0))
+    # D mu - mu(D., .) - mu(., D.) is pi(D) mu for the slot signs (1, -1, -1)
+    pi_d = _lie(brackets(n), d, mu.c.reshape(-1)).reshape(-1, n)
+    residual = float(np.linalg.norm(pi_d, axis=1).max(initial=0.0))
 
     if np.abs(d - d.T).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(d).max(initial=0.0)):
         eig = np.linalg.eigvalsh(d)
@@ -205,7 +206,7 @@ class CriticalBracketReport:
 
 def critical_bracket_check(ctx: CartanContext, mu: BracketTensor,
                            residual_tol: float = 1e-9,
-                           derivation_tol: float = 1e-10) -> CriticalBracketReport:
+                           derivation_tol: float = DERIVATION_TOL) -> CriticalBracketReport:
     """Check the derivation property of beta_plus at a critical bracket.
 
     The bracket must already be a critical direction (criticality residual

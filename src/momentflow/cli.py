@@ -24,7 +24,7 @@ from .flows import (FlowError, FlowParams, flow_trajectory_csv, gradient_flow,
                     verify_flow_equivalence)
 from .hesselink import _fraction_str
 from .momentmap import closed_form_moment, criticality_residual, moment
-from .reps import (TORUS_WEIGHTS, RepSpec, canonical_family, rep_vector,
+from .reps import (SQRT2, TORUS_WEIGHTS, RepSpec, canonical_family, rep_vector,
                    torus_weights, vector_from_json, weights_of)
 
 __all__ = ["main", "run"]
@@ -295,8 +295,11 @@ def _cmd_bracket(args) -> int:
     v = mu.to_rep_vector().normalized()
     res = criticality_residual(ctx, v.spec, v)
     flowed = False
-    if res > tol and args.flow:
-        result = gradient_flow(ctx, v.spec, v, _flow_params(settings))
+    # pi(beta_plus) mu is minus the sphere velocity (pi(I) mu = -mu), so the
+    # derivation residual is at most the criticality residual / sqrt(2)
+    target = min(tol, SQRT2 * bracketmod.DERIVATION_TOL)
+    if res > target and args.flow:
+        result = gradient_flow(ctx, v.spec, v, _flow_params({**settings, "residual_tol": target}))
         v = result.limit
         mu = bracketmod.BracketTensor.from_rep_vector(v)
         res = criticality_residual(ctx, v.spec, v)

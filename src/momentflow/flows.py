@@ -22,9 +22,9 @@ by clip(0.9 err^(-1/5), 0.2, 5) with err that difference over the target.
 The last stage of a step is f at the new state ("first same as last"), so it
 is the next step's first stage and an attempted step costs 6 right-hand-side
 evaluations; the flows read their stopping data off that stage rather than
-evaluate again.  Inputs are validated once, at entry (``apply_group``
-rejects a singular h0 and warns above condition number 1e12); right-hand
-sides run the unchecked kernels on plain arrays.
+evaluate again.  Inputs are validated once, in ``_entry``; right-hand sides
+run the unchecked kernels on plain arrays, and take rho(h) vbar and its
+moment map from one kernel, ``_orbit``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cartan import CartanContext, _check_symmetric, _spd_root, _spd_root_and_inverse
-from .momentmap import MomentValue, _moment_matrix, _sphere_velocity, moment, rep_action
+from .momentmap import ZERO_NORM_FLOOR, MomentValue, _moment_matrix, _sphere_velocity, moment
+from .momentmap import rep_action
 from .reps import RepSpec, RepVector, _act, _checked_in_range, _invert, apply_group, rep_vector
 
 __all__ = [
@@ -235,6 +236,18 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
     return t, y, status, steps, samples
 
 
+def _entry(spec: RepSpec, v: RepVector, g=None):
+    """``(coords, exponent, w)``: the checked coordinates of v, rescaled by
+    2^-exponent, and w = rho(g) coords, with g validated by ``apply_group``
+    (singular: ValueError; condition above 1e12: warning); w = coords when g
+    is None.  Raises ValueError where |w|^2 is below the moment map's floor."""
+    coords, exponent = _checked_in_range(spec, v)
+    w = coords if g is None else apply_group(spec, g, RepVector(spec, coords)).coords
+    if w @ w < ZERO_NORM_FLOOR:
+        raise ValueError("cannot flow the zero vector")
+    return coords, exponent, w
+
+
 def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
                   params: FlowParams | None = None) -> FlowResult:
     """Integrate the direction of v' = -pi(m(v)) v.
@@ -247,10 +260,8 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
     if params is None:
         params = FlowParams()
     act = rep_action(ctx, spec)
-    coords = _checked_in_range(spec, v0)[0]
+    coords = _entry(spec, v0)[0]
     nrm = np.linalg.norm(coords)
-    if nrm == 0.0:
-        raise ValueError("cannot flow the zero vector")
     moments = [None]
 
     def f(y):
@@ -296,21 +307,19 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
     """Co-integrate the raw gradient flow of v = rho(h0) vbar together with
     the group element h' = -m(v(t)) h, h(0) = h0.
 
-    Along exact solutions v(t) = rho(h(t)) vbar, which is what
-    :func:`verify_flow_equivalence` measures.  A vbar of extreme scale is
-    integrated rescaled by a power of two, and its v samples scaled back.
+    Along exact solutions v(t) = rho(h(t)) vbar; :func:`verify_flow_equivalence`
+    integrates h' = -m(rho(h) vbar) h instead, so it does not measure this.
+    A vbar of extreme scale is integrated rescaled by a power of two, and its
+    v samples scaled back.
     """
     if params is None:
         params = FlowParams()
     act = rep_action(ctx, spec)
     n = ctx.n
     h0 = np.asarray(h0, dtype=float)
-    coords, exponent = _checked_in_range(spec, vbar)
-    v0 = apply_group(spec, h0, RepVector(spec, coords))
-    if v0.norm == 0.0:
-        raise ValueError("cannot flow the zero vector")
+    exponent, v0 = _entry(spec, vbar, h0)[1:]
     d = spec.dim
-    y0 = np.concatenate([v0.coords, h0.reshape(-1)])
+    y0 = np.concatenate([v0, h0.reshape(-1)])
     blocks = [slice(0, d), slice(d, d + n * n)]
 
     def f(y):
@@ -332,24 +341,24 @@ def _sym(y, n):
     return 0.5 * (m + m.T)
 
 
-def _moment_at(ctx, act, h, hinv, vbar):
-    """m(rho(h) vbar) as a matrix, with hinv = h^{-1}; ``vbar`` is a
-    coordinate array."""
-    return _moment_matrix(ctx, act.moment_coefficients(_act(act.spec, h, hinv, vbar)))
+def _orbit(ctx, act, h, hinv, vbar):
+    """rho(h) vbar and m(rho(h) vbar) as a matrix, with hinv = h^{-1};
+    ``vbar`` is a coordinate array."""
+    v = _act(act.spec, h, hinv, vbar)
+    return v, _moment_matrix(ctx, act.moment_coefficients(v))
 
 
 def _metric_velocity(ctx, act, vbar, y):
-    """S' = -(M^T S + S M) with M = h^{-1} m(rho(h) vbar) h, h = sqrt(S),
-    on the flattened S; ``vbar`` is a coordinate array.  Raises FlowError
-    when S is not positive definite."""
+    """S' = -2 r m(rho(r) vbar) r with r = sqrt(S), on the flattened S: the
+    push-forward of the group velocity -m h under S = h^T h at h = r.
+    ``vbar`` is a coordinate array.  Raises FlowError when S is not
+    positive definite."""
     n = ctx.n
-    s = _sym(y, n)
     try:
-        h, hinv = _spd_root_and_inverse(s)
+        r, rinv = _spd_root_and_inverse(_sym(y, n))
     except ValueError as exc:
         raise FlowError(f"metric lost positivity: {exc}") from exc
-    big = hinv @ _moment_at(ctx, act, h, hinv, vbar) @ h
-    return _sym(-(big.T @ s + s @ big), n).reshape(-1)
+    return _sym(-2.0 * (r @ _orbit(ctx, act, r, rinv, vbar)[1] @ r), n).reshape(-1)
 
 
 def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
@@ -365,12 +374,9 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     """
     if params is None:
         params = FlowParams()
-    coords = _checked_in_range(spec, vbar)[0]
-    if not coords.any():
-        raise ValueError("cannot flow the zero vector")
     n = ctx.n
     # checks the condition of sqrt(S0) and, on a torus, its diagonal
-    apply_group(spec, _spd_root(_sym(s0.S, n)), RepVector(spec, coords))
+    coords = _entry(spec, vbar, _spd_root(_sym(s0.S, n)))[0]
     act = rep_action(ctx, spec)
 
     def f(y):
@@ -391,9 +397,10 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     from rho(h0) vbar, the group flow h' = -m(rho(h) vbar) h from h0, and
     the metric flow from h0^T h0 -- and the report collects the worst
     relative deviations of v(t) from rho(h(t)) vbar and of S(t) from
-    h(t)^T h(t) over the horizon.  The report passes only when the run
-    reached the horizon and neither deviation exceeds ``tol`` (a NaN one
-    fails).  A vbar of extreme scale is first rescaled by a power of two.
+    h(t)^T h(t) over the horizon; ``t_horizon`` overrides ``params.t_max``.
+    The report passes only when the run reached the horizon and neither
+    deviation exceeds ``tol`` (a NaN one fails).  A vbar of extreme scale is
+    first rescaled by a power of two.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -403,33 +410,27 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     act = rep_action(ctx, spec)
     n = ctx.n
     h0 = np.asarray(h0, dtype=float)
-    vbar = RepVector(spec, _checked_in_range(spec, vbar)[0])
-    v0 = apply_group(spec, h0, vbar)
-    # the vector block is integrated at the scale h0 gives it, so a v0 whose
-    # |v0|^2 underflows cannot be flowed
-    if np.linalg.norm(v0.coords) == 0.0:
-        raise ValueError("cannot flow the zero vector")
+    vbar, _, v0 = _entry(spec, vbar, h0)
     d = spec.dim
     n2 = n * n
-    y0 = np.concatenate([v0.coords, h0.reshape(-1), (h0.T @ h0).reshape(-1)])
+    y0 = np.concatenate([v0, h0.reshape(-1), (h0.T @ h0).reshape(-1)])
     blocks = [slice(0, d), slice(d, d + n2), slice(d + n2, d + 2 * n2)]
+    orbit = [None]
 
     def f(y):
-        c = y[:d]
         h = y[d:d + n2].reshape(n, n)
-        dv = -act.gradient(c)
-        dh = -(_moment_at(ctx, act, h, np.linalg.inv(h), vbar.coords) @ h)
-        ds = _metric_velocity(ctx, act, vbar.coords, y[d + n2:])
-        return np.concatenate([dv, dh.reshape(-1), ds])
+        orbit[0], m = _orbit(ctx, act, h, np.linalg.inv(h), vbar)
+        ds = _metric_velocity(ctx, act, vbar, y[d + n2:])
+        return np.concatenate([-act.gradient(y[:d]), -(m @ h).reshape(-1), ds])
 
     worst = {"v": 0.0, "S": 0.0}
 
     def on_state(t, y, dy):
+        # dy is the step's last stage, so orbit[0] is rho(h) vbar at y
         c = y[:d]
         h = y[d:d + n2].reshape(n, n)
         s = y[d + n2:].reshape(n, n)
-        pred = _act(spec, h, np.linalg.inv(h), vbar.coords)
-        dev_v = np.linalg.norm(c - pred) / np.linalg.norm(c)
+        dev_v = np.linalg.norm(c - orbit[0]) / np.linalg.norm(c)
         dev_s = np.linalg.norm(s - h.T @ h) / np.linalg.norm(s)
         # np.maximum keeps a NaN deviation, which then fails the check
         worst["v"] = float(np.maximum(worst["v"], dev_v))

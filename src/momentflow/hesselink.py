@@ -85,11 +85,14 @@ def state_of(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12) -> list[tuple
 
 def instability_measure(state, eta):
     """min over the state of <chi, eta>, or MINUS_INFINITY when that minimum
-    is negative (the coordinates then blow up along the cocharacter)."""
+    is negative (the coordinates then blow up along the cocharacter); every
+    weight must have eta's length."""
     state = [to_rational_vector(chi) for chi in state]
     if not state:
         raise ValueError("empty state")
     eta = to_rational_vector(eta)
+    if any(len(chi) != len(eta) for chi in state):
+        raise ValueError(f"state weights and eta must have the same length {len(eta)}")
     m = min(_dot(chi, eta) for chi in state)
     return MINUS_INFINITY if m < 0 else m
 
@@ -190,12 +193,14 @@ def stratum_membership(spec: RepSpec, v: RepVector, label: HesselinkLabel,
     """Grade the state of v by the label and test the stratum conditions.
 
     The label's eta is used verbatim (membership is relative to a concrete
-    diagonal representative, not its Weyl class).
+    diagonal representative, not its Weyl class), and has spec.n entries.
     """
     if v.norm == 0.0:
         raise ValueError("zero vector")
     if label.q <= 0:
         raise ValueError("membership needs a nonzero label")
+    if len(label.eta) != spec.n:
+        raise ValueError(f"label has {len(label.eta)} entries, expected {spec.n}")
     eta, q = label.eta, label.q
     components = weight_components(spec, v, zero_tol)
     grading = {chi: _dot(chi, eta) - q for chi in components}

@@ -211,9 +211,10 @@ _SAFE_EXPONENT = 400
 
 def _in_range(coords: np.ndarray) -> tuple[np.ndarray, int]:
     """(coords * 2^-e, e): e = 0 when the largest entry is in the safe range
-    (or coords is 0), else the e that brings it to [1/2, 1).  A power of two
-    scales exactly, so scale-invariant results are the unscaled vector's."""
-    exponent = math.frexp(float(np.max(np.abs(coords))))[1]
+    (or coords is 0, empty included), else the e that brings it to [1/2, 1).
+    A power of two scales exactly, so scale-invariant results are the
+    unscaled vector's."""
+    exponent = math.frexp(float(np.max(np.abs(coords), initial=0.0)))[1]
     if abs(exponent) <= _SAFE_EXPONENT:
         return coords, 0
     return np.ldexp(coords, -exponent), exponent

@@ -127,3 +127,30 @@ def test_moment_of_any_bracket_has_trace_minus_one(rng):
     for _ in range(5):
         v = rep_vector(spec, rng.normal(size=spec.dim))
         assert abs(np.trace(moment(ctx, spec, v).matrix) + 1.0) <= 1e-12
+
+
+def test_derivation_residual_is_pi_d_of_the_bracket(rng):
+    # oracle: D mu(e_i, e_j) - mu(D e_i, e_j) - mu(e_i, D e_j) by einsum on
+    # the full tensor, max over pairs of the norm over targets
+    for n in (3, 4, 5):
+        mu = BracketTensor(n, rng.normal(size=(n * (n - 1) // 2, n)))
+        d = rng.normal(size=(n, n))
+        t = mu.tensor
+        diff = (np.einsum("lm,mij->lij", d, t) - np.einsum("lmj,mi->lij", t, d)
+                - np.einsum("lim,mj->lij", t, d))
+        oracle = np.linalg.norm(diff.reshape(n, -1), axis=0).max()
+        assert abs(derivation_report(mu, d).derivation_residual - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_derivation_residual_is_bounded_by_the_criticality_residual(rng, n):
+    # pi(I) mu = -mu, so pi(m + F I) mu = pi(m) mu - F mu is minus the sphere
+    # velocity; per pair it is at most the whole, and coordinates carry sqrt(2)
+    from momentflow import brackets, energy, moment, rep_vector
+    ctx = build_context(n, "GL")
+    spec = brackets(n)
+    for _ in range(5):
+        v = rep_vector(spec, rng.normal(size=spec.dim)).normalized()
+        beta_plus = moment(ctx, spec, v).matrix + energy(ctx, spec, v) * np.eye(n)
+        res = derivation_report(BracketTensor.from_rep_vector(v), beta_plus).derivation_residual
+        assert res <= criticality_residual(ctx, spec, v) / np.sqrt(2.0) * (1 + 1e-12)

@@ -469,3 +469,37 @@ def test_flow_error_exits_1(capsys, monkeypatch):
     code = run(["verify-flows", "--family", "standard", "--n", "2", "--vector", "[1,0]"])
     assert code == 1
     assert capsys.readouterr().err == "error: metric lost positivity\n"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_bracket_flow_reaches_the_derivation_verdict(capsys, n):
+    # the flow stops at criticality residual sqrt(2) * 1e-10, which bounds
+    # the derivation residual by 1e-10; at the default --tol 1e-9 chain 5-7
+    # reported is_derivation false
+    code, doc = _capture_json(capsys, ["bracket", "--preset", "chain", "--n", str(n), "--flow"])
+    assert code == 0 and doc["flowed"] is True
+    assert doc["criticality_residual"] <= np.sqrt(2.0) * 1e-10
+    check = doc["critical_check"]
+    assert check["is_derivation"] is True and check["positive"] is True
+    assert check["derivation_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("eta", ['{"eta":["1"]}', '{"eta":["1","0","-1"]}'])
+def test_stratum_label_of_another_length_exits_1(capsys, eta):
+    code = run(["stratum", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]",
+                "--label", eta])
+    assert code == 1
+    assert "entries, expected 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["lambda2", "brackets"])
+@pytest.mark.parametrize("cmd, message", [("moment", "moment map is undefined at the zero vector"),
+                                          ("label", "zero vector has no state"),
+                                          ("flow", "cannot flow the zero vector"),
+                                          ("verify-flows", "cannot flow the zero vector")])
+def test_zero_dimensional_module_raises_the_zero_vector_error(capsys, family, cmd, message):
+    # Lambda2(1) and Brackets(1) have dimension 0; the scale check took the
+    # max of an empty array and printed numpy's "zero-size array" error
+    code = run([cmd, "--family", family, "--n", "1", "--vector", "[]"])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"

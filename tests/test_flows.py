@@ -9,7 +9,7 @@ from scipy.linalg import sqrtm
 
 from momentflow import (FlowError, FlowParams, SpdMetric, adjoint, adjoint_from_matrix,
                         apply_group, apply_lie, brackets, build_context,
-                        closed_form_moment, coupled_group_flow, criticality_residual,
+                        closed_form_moment, coupled_group_flow, criticality_residual, dual,
                         flow_trajectory_csv, gradient_flow, lambda2, metric_flow,
                         moment, optimal_class, rep_vector, standard, torus_weights,
                         verify_flow_equivalence)
@@ -729,3 +729,85 @@ def test_direction_flow_converges_below_the_local_error_target():
     res = gradient_flow(build_context(5, "GL"), mu.spec, mu, FlowParams(residual_tol=1e-12))
     assert res.converged and res.steps <= 200
     assert res.residual_trace[-1][1] <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [standard(3), dual(3), adjoint(3), lambda2(3), brackets(3),
+                                  torus_weights([(1, 0, 0), (0, 1, 0), (-1, -1, 2), (2, -1, 0)])],
+                         ids=lambda s: s.family)
+def test_metric_velocity_is_the_pushed_forward_group_velocity(rng, spec):
+    # S' = -2 r m(rho(r) vbar) r, r = sqrt(S), against the conjugated form
+    # -(M^T S + S M) with M = r^-1 m(rho(r) vbar) r as the oracle
+    from momentflow.flows import _metric_velocity
+    from momentflow.momentmap import rep_action
+    from momentflow.reps import _act
+    ctx = build_context(3, "GL")
+    act = rep_action(ctx, spec)
+    for _ in range(5):
+        vbar = rng.normal(size=spec.dim)
+        s = (np.diag(rng.uniform(0.2, 3.0, 3)) if spec.family == "TorusWeights"
+             else random_spd(rng, 3))
+        r = sqrtm(s).real
+        rinv = np.linalg.inv(r)
+        big = rinv @ moment(ctx, spec, rep_vector(spec, _act(spec, r, rinv, vbar))).matrix @ r
+        oracle = -(big.T @ s + s @ big)
+        got = _metric_velocity(ctx, act, vbar, s.reshape(-1)).reshape(3, 3)
+        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_every_flow_rejects_an_underflowing_start_at_entry(monkeypatch):
+    # one zero test at the one entry, the moment map's own floor: before,
+    # rho(h0) vbar = (0, 1e-300) passed entry and the first right-hand side
+    # raised "moment map is undefined at the zero vector"
+    import warnings
+    from momentflow import flows
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(flows, "_integrate", no_integration)
+    ctx = build_context(2, "GL")
+    spec = standard(2)
+    vbar = rep_vector(spec, [0.0, 1.0])
+    tiny = np.diag([1.0, 1e-300])
+    calls = [lambda: gradient_flow(ctx, spec, rep_vector(spec, [0.0, 0.0])),
+             lambda: coupled_group_flow(ctx, spec, vbar, tiny),
+             lambda: verify_flow_equivalence(ctx, spec, vbar, tiny, 1.0),
+             # sqrt(S0) = diag(1, 1e-155), so |rho(sqrt(S0)) vbar|^2 = 1e-310
+             lambda: metric_flow(ctx, spec, vbar, SpdMetric(np.diag([1.0, 1e-310])))]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the condition-number warning
+            with pytest.raises(ValueError, match="^cannot flow the zero vector$"):
+                call()
+
+
+@pytest.mark.parametrize("spec, h0", [(adjoint(3), np.array([[1.0, 0.5, 0.0],
+                                                             [0.0, 1.0, 0.2],
+                                                             [0.3, 0.0, 1.0]])),
+                                      (brackets(3), np.diag([1.5, 0.7, 1.2]))],
+                         ids=["adjoint3", "brackets3"])
+def test_equivalence_reads_the_orbit_off_the_last_stage(monkeypatch, rng, spec, h0):
+    # max_dev_v takes rho(h) vbar from the step's last right-hand side; it
+    # equals, bit for bit, a reference that inverts each accepted h afresh
+    from momentflow import flows
+    from momentflow.reps import _act
+    states = []
+    integrate = flows._integrate
+
+    def recording(f, y0, params, blocks, on_state=None, *args):
+        def on_state_recorded(t, y, dy):
+            states.append(y.copy())
+            return on_state(t, y, dy)
+        return integrate(f, y0, params, blocks, on_state_recorded, *args)
+
+    monkeypatch.setattr(flows, "_integrate", recording)
+    vbar = random_vector(rng, spec)
+    rep = verify_flow_equivalence(build_context(3, "GL"), spec, vbar, h0, 5.0)
+    d = spec.dim
+    ref = 0.0
+    for y in states:
+        h = y[d:d + 9].reshape(3, 3)
+        pred = _act(spec, h, np.linalg.inv(h), vbar.coords)
+        ref = float(np.maximum(ref, np.linalg.norm(y[:d] - pred) / np.linalg.norm(y[:d])))
+    assert len(states) > 10 and rep.passed
+    assert rep.max_dev_v == ref

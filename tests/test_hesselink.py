@@ -371,6 +371,22 @@ def test_stratum_membership_errors():
         HesselinkLabel.from_eta((0, 0))
 
 
+@pytest.mark.parametrize("eta", [(1,), (1, 0, -1)])
+def test_stratum_membership_rejects_a_label_of_another_length(eta):
+    # zip used to pair the weights with a truncated eta: a 1-entry label of
+    # adjoint(2) reported in_V_ge0 and in_U_ge0 true
+    v = adjoint_from_matrix(_e(2, 0, 1))
+    with pytest.raises(ValueError, match=f"label has {len(eta)} entries, expected 2"):
+        stratum_membership(adjoint(2), v, HesselinkLabel.from_eta(eta))
+
+
+def test_instability_measure_rejects_weights_of_another_length():
+    with pytest.raises(ValueError, match="same length"):
+        instability_measure([(1, 0), (0, 1)], (1,))
+    with pytest.raises(ValueError, match="same length"):
+        instability_measure([(1, 0), (0, 1, 0)], (1, 0))
+
+
 def test_kn_label_via_flow_examples():
     ctx = build_context(2, "GL")
     rep = kn_label_via_flow(ctx, adjoint(2), adjoint_from_matrix(_e(2, 0, 1)))

@@ -323,3 +323,21 @@ def test_pair_bridges_match_pair_loops(rng):
     bt = BracketTensor.from_rep_vector(mu)
     assert np.array_equal(bt.c, np.stack([t[:, i, j] for (i, j) in pairs]))
     assert np.array_equal(bt.tensor, t)
+
+
+@pytest.mark.parametrize("spec", [lambda2(1), brackets(1)], ids=lambda s: s.family)
+def test_zero_dimensional_modules_are_the_zero_vector(spec):
+    # the scale check used to take np.max of the empty coordinate array
+    from momentflow import FlowParams, gradient_flow, moment, verify_flow_equivalence
+    ctx = build_context(1, "GL")
+    v = rep_vector(spec, [])
+    assert spec.dim == 0 and v.norm == 0.0
+    assert np.array_equal(apply_group(spec, [[2.0]], v).coords, [])
+    with pytest.raises(ValueError, match="moment map is undefined at the zero vector"):
+        moment(ctx, spec, v)
+    with pytest.raises(ValueError, match="zero vector has no state"):
+        weight_components(spec, v)
+    with pytest.raises(ValueError, match="cannot flow the zero vector"):
+        gradient_flow(ctx, spec, v, FlowParams(t_max=1.0))
+    with pytest.raises(ValueError, match="cannot flow the zero vector"):
+        verify_flow_equivalence(ctx, spec, v, np.eye(1), 1.0)
