@@ -20,7 +20,7 @@ import numpy as np
 
 from .cartan import CartanContext
 from .momentmap import MomentValue, criticality_residual, moment
-from .reps import BRACKETS, SQRT2, RepVector, _lie, _tensor, brackets, brackets_from_tensor
+from .reps import BRACKETS, SQRT2, RepVector, _coords, _lie, _tensor, brackets
 
 __all__ = [
     "BracketTensor",
@@ -35,6 +35,11 @@ JACOBI_TOL = 1e-12
 RANK_TOL = 1e-10
 # the fixed derivation tolerance of the critical-point check
 DERIVATION_TOL = 1e-10
+# the criticality bound of the check: pi(I) mu = -mu, so pi(beta_plus) mu is
+# minus the sphere velocity and a unit bracket's derivation residual is at
+# most its criticality residual / sqrt(2); flowing to this bound reaches the
+# derivation verdict at DERIVATION_TOL
+CRITICAL_RESIDUAL = SQRT2 * DERIVATION_TOL
 
 
 @dataclass(frozen=True)
@@ -107,18 +112,13 @@ def bracket_preset(name: str, n: int) -> BracketTensor:
             raise ValueError("the chain preset needs n >= 3")
     else:
         raise ValueError(f"unknown bracket preset {name!r}")
-    t = np.zeros((n, n, n))
+    t = np.zeros((n, n, n))  # T[l, i, j] for i < j; _coords reads only those
     if name == "heisenberg":
         t[2, 0, 1] = 1.0
-        t[2, 1, 0] = -1.0
     else:
         for i in range(1, n - 1):  # mu(e1, e_{i+1}) = e_{i+2}, 0-based
             t[i + 1, 0, i] = 1.0
-            t[i + 1, i, 0] = -1.0
-    out = BracketTensor.from_rep_vector(brackets_from_tensor(t))
-    if not out.jacobi_ok:
-        raise AssertionError("preset violates the Jacobi identity")
-    return out
+    return BracketTensor(n=n, c=_coords(brackets(n), t).reshape(-1, n))
 
 
 def _lower_central_series(mu: BracketTensor) -> list[np.ndarray]:
@@ -205,24 +205,22 @@ class CriticalBracketReport:
 
 
 def critical_bracket_check(ctx: CartanContext, mu: BracketTensor,
-                           residual_tol: float = 1e-9,
+                           residual_tol: float = CRITICAL_RESIDUAL,
                            derivation_tol: float = DERIVATION_TOL) -> CriticalBracketReport:
     """Check the derivation property of beta_plus at a critical bracket.
 
     The bracket must already be a critical direction (criticality residual
-    at most ``residual_tol``); flow it there first otherwise.  Both
-    tolerances must be positive.
+    at most ``residual_tol``); flow it there first otherwise.  The default
+    ``CRITICAL_RESIDUAL`` is the bound at which the derivation verdict at
+    ``DERIVATION_TOL`` is reached.  Both tolerances must be positive.
     """
     if not (residual_tol > 0 and derivation_tol > 0):
         raise ValueError("residual_tol and derivation_tol must be positive")
-    v = mu.to_rep_vector()
-    if v.norm == 0.0:
-        raise ValueError("zero bracket")
-    v = v.normalized()
+    v = mu.to_rep_vector().normalized()
     res = criticality_residual(ctx, v.spec, v)
     if res > residual_tol:
         raise ValueError(f"bracket is not critical (residual {res:.3g} > {residual_tol:g}); "
-                         "run the gradient flow first")
+                         "flow it to that bound first")
     beta = moment(ctx, v.spec, v)
     beta_plus = beta.matrix + beta.energy * np.eye(ctx.n)
     rep = derivation_report(BracketTensor.from_rep_vector(v), beta_plus)

@@ -1,9 +1,9 @@
 """Deterministic command-line front end.
 
-Every subcommand prints a single JSON document (or a CSV table for
-trajectories) on stdout.  Exit codes: 0 success, 1 computation error,
-2 usage error.  Rationals are serialized as "p/q" strings; identical
-argv + seed produce byte-identical output.
+Every subcommand returns a single JSON document (or a CSV table for
+trajectories), and ``run`` alone writes it to stdout.  Exit codes: 0
+success, 1 computation error, 2 usage error.  Rationals are serialized as
+"p/q" strings; identical argv + seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +24,7 @@ from .flows import (FlowError, FlowParams, flow_trajectory_csv, gradient_flow,
                     verify_flow_equivalence)
 from .hesselink import _fraction_str
 from .momentmap import closed_form_moment, criticality_residual, moment
-from .reps import (SQRT2, TORUS_WEIGHTS, RepSpec, canonical_family, rep_vector,
+from .reps import (TORUS_WEIGHTS, RepSpec, canonical_family, rep_vector,
                    torus_weights, vector_from_json, weights_of)
 
 __all__ = ["main", "run"]
@@ -32,7 +32,7 @@ __all__ = ["main", "run"]
 
 # config-file keys and their value types; a flag of the same name overrides
 # the file's value
-_CONFIG_KEYS = {"residual_tol": float, "match_tol": float, "dt0": float, "t_max": float,
+_CONFIG_KEYS = {"residual_tol": float, "match_tol": float, "t_max": float,
                 "sample_stride": int, "max_steps": int, "seed": int}
 _FLOW_FIELDS = {f.name for f in fields(FlowParams)}
 
@@ -116,17 +116,13 @@ def _matrix(a) -> list:
     return [[float(x) for x in row] for row in np.asarray(a)]
 
 
-def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_rep_info(args) -> int:
+def _cmd_rep_info(args) -> dict:
     spec = _resolve_spec(args)
-    doc = {
+    return {
         "family": spec.family,
         "n": spec.n,
         "dim": spec.dim,
@@ -140,11 +136,9 @@ def _cmd_rep_info(args) -> int:
             "TorusWeights": "abstract weight coordinates in the given order",
         }[spec.family],
     }
-    _emit_json(doc)
-    return 0
 
 
-def _cmd_moment(args) -> int:
+def _cmd_moment(args) -> dict:
     v = _resolve_vector(args)
     ctx = build_context(v.spec.n, args.group)
     mv = moment(ctx, v.spec, v)
@@ -159,19 +153,17 @@ def _cmd_moment(args) -> int:
     if v.spec.family != TORUS_WEIGHTS and args.group == "GL":
         cf = closed_form_moment(v.spec, v)
         doc["closed_form_max_dev"] = float(np.abs(cf.matrix - mv.matrix).max())
-    _emit_json(doc)
-    return 0
+    return doc
 
 
-def _cmd_flow(args) -> int:
+def _cmd_flow(args) -> dict | str:
     settings = _settings(args)
     v = _resolve_vector(args)
     ctx = build_context(v.spec.n, args.group)
     result = gradient_flow(ctx, v.spec, v, _flow_params(settings))
     if args.format == "csv":
-        sys.stdout.write(flow_trajectory_csv(result))
-        return 0
-    doc = {
+        return flow_trajectory_csv(result)
+    return {
         "converged": result.converged,
         "status": result.status,
         "steps": result.steps,
@@ -182,8 +174,6 @@ def _cmd_flow(args) -> int:
         "limit_coords": _floats(result.limit.coords),
         "limit_spectrum": _floats(result.limit_moment.spectrum),
     }
-    _emit_json(doc)
-    return 0
 
 
 def _random_well_conditioned(n: int, seed: int, diagonal: bool = False) -> np.ndarray:
@@ -195,8 +185,12 @@ def _random_well_conditioned(n: int, seed: int, diagonal: bool = False) -> np.nd
     return q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ q2
 
 
-def _cmd_verify_flows(args) -> int:
+def _cmd_verify_flows(args) -> dict:
     settings = _settings(args)
+    # FlowParams.t_max 1000 lies far past the horizon where cond h(t), which
+    # grows like e^{2t}, has already lost the comparison
+    if "t_max" not in settings:
+        raise UsageError("verify-flows needs a horizon: --t-max (or t_max in --config)")
     vbar = _resolve_vector(args)
     n = vbar.spec.n
     ctx = build_context(n, args.group)
@@ -208,35 +202,32 @@ def _cmd_verify_flows(args) -> int:
     params = _flow_params(settings)
     tol = {"tol": settings["match_tol"]} if "match_tol" in settings else {}
     report = verify_flow_equivalence(ctx, vbar.spec, vbar, h0, params.t_max, params, **tol)
-    _emit_json({
+    return {
         "h0": _matrix(h0),
         "t_max": params.t_max,
         "max_dev_v": report.max_dev_v,
         "max_dev_S": report.max_dev_S,
         "tol": report.tol,
         "passed": report.passed,
-    })
-    return 0
+    }
 
 
-def _cmd_label(args) -> int:
+def _cmd_label(args) -> dict:
     v = _resolve_vector(args)
-    _emit_json(hesselink.label_to_json(hesselink.optimal_class(v.spec, v)))
-    return 0
+    return hesselink.label_to_json(hesselink.optimal_class(v.spec, v))
 
 
-def _cmd_labels_enumerate(args) -> int:
+def _cmd_labels_enumerate(args) -> dict:
     spec = _resolve_spec(args)
     enum = hesselink.enumerate_labels(spec, max_weight_count=args.cap)
-    _emit_json({
+    return {
         "labels": [hesselink.label_to_json(lab) for lab in enum.labels],
         "zero_label": enum.zero_label,
         "count": len(enum.labels),
-    })
-    return 0
+    }
 
 
-def _cmd_stratum(args) -> int:
+def _cmd_stratum(args) -> dict:
     v = _resolve_vector(args)
     if args.label is None:
         raise UsageError("--label is required (inline JSON, @file, or '-' for stdin)")
@@ -248,7 +239,7 @@ def _cmd_stratum(args) -> int:
     if label is None:
         raise UsageError("cannot test membership against the semistable marker")
     report = hesselink.stratum_membership(v.spec, v, label)
-    _emit_json({
+    return {
         "eta": [_fraction_str(x) for x in label.eta],
         "q": _fraction_str(report.q),
         "grading": [{"weight": list(w), "r": _fraction_str(r)}
@@ -256,16 +247,15 @@ def _cmd_stratum(args) -> int:
         "in_V_ge0": report.in_V_ge0,
         "v0_coords": _floats(report.v0.coords),
         "in_U_ge0": report.in_U_ge0,
-    })
-    return 0
+    }
 
 
-def _cmd_jordan(args) -> int:
+def _cmd_jordan(args) -> dict:
     if args.partition is None:
         raise UsageError("--partition is required, e.g. --partition 3,2")
     p = jordan.Partition.parse(args.partition)
     rep = jordan.jordan_label(p)
-    _emit_json({
+    return {
         "partition": list(p.parts),
         "n": p.n,
         "eta": [_fraction_str(x) for x in rep.label.eta],
@@ -277,29 +267,21 @@ def _cmd_jordan(args) -> int:
         "display_ok": rep.display_ok,
         "negdef_ok": rep.negdef_ok,
         "block_bound_ok": rep.block_bound_ok,
-    })
-    return 0
+    }
 
 
-def _cmd_bracket(args) -> int:
-    settings = _settings(args)
+def _cmd_bracket(args) -> dict:
     if args.n is None:
         raise UsageError("--n is required")
-    # FlowParams validates every setting it is given, so the full set is
-    # built only to flow: a report without --flow reads nothing but the
-    # tolerance, checked on its own
-    tol = settings.get("residual_tol", FlowParams.residual_tol)
-    FlowParams(residual_tol=tol)
+    params = _flow_params(_settings(args))
     mu = bracketmod.bracket_preset(args.preset, args.n)
     ctx = build_context(args.n, "GL")
     v = mu.to_rep_vector().normalized()
     res = criticality_residual(ctx, v.spec, v)
     flowed = False
-    # pi(beta_plus) mu is minus the sphere velocity (pi(I) mu = -mu), so the
-    # derivation residual is at most the criticality residual / sqrt(2)
-    target = min(tol, SQRT2 * bracketmod.DERIVATION_TOL)
+    target = min(params.residual_tol, bracketmod.CRITICAL_RESIDUAL)
     if res > target and args.flow:
-        result = gradient_flow(ctx, v.spec, v, _flow_params({**settings, "residual_tol": target}))
+        result = gradient_flow(ctx, v.spec, v, replace(params, residual_tol=target))
         v = result.limit
         mu = bracketmod.BracketTensor.from_rep_vector(v)
         res = criticality_residual(ctx, v.spec, v)
@@ -312,8 +294,8 @@ def _cmd_bracket(args) -> int:
         "criticality_residual": res,
         "moment_matrix": _matrix(moment(ctx, v.spec, v).matrix),
     }
-    if res <= tol:
-        check = bracketmod.critical_bracket_check(ctx, mu, residual_tol=tol)
+    if res <= params.residual_tol:
+        check = bracketmod.critical_bracket_check(ctx, mu, residual_tol=params.residual_tol)
         doc["critical_check"] = {
             "beta_spectrum": _floats(check.beta.spectrum),
             "beta_plus_eigenvalues": _floats(np.real(check.eigenvalues)),
@@ -322,11 +304,10 @@ def _cmd_bracket(args) -> int:
             "positive": check.positive,
             "orthogonality_residual": check.orthogonality_residual,
         }
-    _emit_json(doc)
-    return 0
+    return doc
 
 
-def _cmd_project_sl(args) -> int:
+def _cmd_project_sl(args) -> dict:
     if args.eta is None:
         raise UsageError("--eta is required")
     raw = _maybe_file(args.eta)
@@ -336,8 +317,7 @@ def _cmd_project_sl(args) -> int:
     except OverflowError as exc:  # Fraction(inf); Fraction(nan) raises ValueError
         raise ValueError(str(exc)) from exc
     out = hesselink.project_to_sl(eta)
-    _emit_json({"eta": [_fraction_str(x) for x in eta], "eta_sl": [_fraction_str(x) for x in out]})
-    return 0
+    return {"eta": [_fraction_str(x) for x in eta], "eta_sl": [_fraction_str(x) for x in out]}
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +333,6 @@ _FLAGS = {
     "--vector": {"help": "coordinates, inline JSON array/object or @file"},
     "--config": {"help": "key=value config file; flags override it"},
     "--t-max": {"dest": "t_max", "type": float},
-    "--dt0": {"type": float},
     "--tol": {"dest": "residual_tol", "type": float},
     "--match-tol": {"dest": "match_tol", "type": float},
     "--seed": {"type": int},
@@ -369,12 +348,12 @@ _FLAGS = {
 _SPEC = ("--family", "--n", "--weights")
 _VECTOR = _SPEC + ("--vector",)
 _MOMENT = _SPEC + ("--group", "--vector")
-_SETTINGS = ("--config", "--t-max", "--dt0", "--tol")
+_SETTINGS = ("--config", "--t-max")
 _SUBCOMMANDS = (
     ("rep-info", _cmd_rep_info, "dimension, weights, coordinate order", _SPEC),
     ("moment", _cmd_moment, "moment map value of a vector", _MOMENT),
     ("flow", _cmd_flow, "integrate the gradient flow (CSV by default)",
-     _MOMENT + _SETTINGS + ("--format",)),
+     _MOMENT + _SETTINGS + ("--tol", "--format")),
     ("verify-flows", _cmd_verify_flows, "three-flow equivalence report",
      _MOMENT + _SETTINGS + ("--match-tol", "--seed", "--h0")),
     ("label", _cmd_label, "exact Hesselink label of a vector", _VECTOR),
@@ -383,7 +362,7 @@ _SUBCOMMANDS = (
     ("stratum", _cmd_stratum, "stratum membership report", _VECTOR + ("--label",)),
     ("jordan", _cmd_jordan, "exact label data of a Jordan partition", ("--partition",)),
     ("bracket", _cmd_bracket, "bracket preset and critical-point report",
-     ("--n",) + _SETTINGS + ("--preset", "--flow")),
+     ("--n",) + _SETTINGS + ("--tol", "--preset", "--flow")),
     ("project-sl", _cmd_project_sl, "orthogonal projection of a label to trace zero", ("--eta",)),
 )
 
@@ -404,15 +383,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     """Entry point used by tests: parse argv, execute, return the exit code.
 
-    Warnings raised while the subcommand runs are reported on stderr as
-    ``warning: <text>`` lines, ahead of any ``error:`` line.
+    The subcommand's document is written to stdout here and nowhere else;
+    a run that fails writes nothing there.  Warnings raised while the
+    subcommand runs are reported on stderr as ``warning: <text>`` lines,
+    ahead of any ``error:`` line.
     """
     args = _build_parser().parse_args(argv)
     error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = args.func(args)
+            doc = args.func(args)
+            sys.stdout.write(doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n")
+            code = 0
         except UsageError as exc:
             code, error = 2, exc
         except (ValueError, FlowError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -61,6 +61,9 @@ STEP_UNDERFLOW = 1e-14
 # dt * rho at most this, where |R(-2)| is about 0.17 (Hairer-Wanner,
 # *Solving ODEs II*, IV.2).
 STABILITY_CAP = 2.0
+# the first attempted step; the controller rescales every later attempt by a
+# factor in [0.2, 5] from the error estimate, so no caller needs to set it
+FIRST_STEP = 1e-2
 
 
 class FlowError(RuntimeError):
@@ -71,7 +74,6 @@ class FlowError(RuntimeError):
 class FlowParams:
     """Integration controls shared by all flows."""
 
-    dt0: float = 1e-2
     t_max: float = 1e3
     residual_tol: float = 1e-9
     max_steps: int = 1_000_000
@@ -79,9 +81,8 @@ class FlowParams:
 
     def __post_init__(self):
         # comparisons fail on NaN, so NaN is rejected; t_max may be inf
-        if not (0 < self.dt0 < np.inf and self.t_max > 0 and self.max_steps > 0
-                and self.sample_stride > 0):
-            raise ValueError("flow parameters must be positive, and dt0 finite")
+        if not (self.t_max > 0 and self.max_steps > 0 and self.sample_stride > 0):
+            raise ValueError("flow parameters must be positive")
         if not (0 < self.residual_tol < 1):
             raise ValueError("residual_tol must lie in (0, 1)")
 
@@ -203,7 +204,7 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
     samples = [(t, y)]
     if on_state is not None and on_state(t, y, dy):
         return t, y, "converged", 0, samples
-    dt = params.dt0
+    dt = FIRST_STEP
     steps = 0
     horizon = params.t_max * (1.0 - 1e-12)
     while t < horizon and steps < params.max_steps:

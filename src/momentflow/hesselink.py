@@ -195,8 +195,6 @@ def stratum_membership(spec: RepSpec, v: RepVector, label: HesselinkLabel,
     The label's eta is used verbatim (membership is relative to a concrete
     diagonal representative, not its Weyl class), and has spec.n entries.
     """
-    if v.norm == 0.0:
-        raise ValueError("zero vector")
     if label.q <= 0:
         raise ValueError("membership needs a nonzero label")
     if len(label.eta) != spec.n:

@@ -74,9 +74,9 @@ class RepAction:
             raise ValueError(f"context size {ctx.n} != representation size {spec.n}")
         basis = np.eye(spec.dim)
         parts = []
-        # only the diagonal prefix of the p-basis acts on a torus module
-        acting = ctx.a_dim if spec.family == TORUS_WEIGHTS else ctx.dim_p
-        for k in range(acting):
+        # an off-diagonal B_k has a zero diagonal, so on a torus module its
+        # columns are zero and it keeps no entries
+        for k in range(ctx.dim_p):
             columns = _lie(spec, ctx.p_basis[k], basis)  # row j is pi(B_k) e_j
             cols, rows = np.nonzero(columns)  # by column, then row
             parts.append((np.full(cols.size, k), rows, cols, columns[cols, rows]))

@@ -4,6 +4,7 @@ import pytest
 from momentflow import (BracketTensor, bracket_preset, build_context,
                         criticality_residual, critical_bracket_check,
                         derivation_report, gradient_flow, FlowParams)
+from momentflow.bracket import CRITICAL_RESIDUAL, DERIVATION_TOL
 
 
 def test_heisenberg_preset():
@@ -94,6 +95,19 @@ def test_critical_bracket_check_requires_criticality():
     zero = BracketTensor(3, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         critical_bracket_check(build_context(3, "GL"), zero)
+
+
+def test_check_default_bound_reaches_the_derivation_verdict():
+    # a flow to the FlowParams default 1e-9 used to pass the check's old
+    # default residual_tol 1e-9 and report is_derivation false (4.73e-10)
+    ctx = build_context(5, "GL")
+    v = bracket_preset("chain", 5).to_rep_vector()
+    loose = gradient_flow(ctx, v.spec, v).limit
+    with pytest.raises(ValueError, match=r"not critical \(residual .* > 1\.41421e-10\)"):
+        critical_bracket_check(ctx, BracketTensor.from_rep_vector(loose))
+    tight = gradient_flow(ctx, v.spec, v, FlowParams(residual_tol=CRITICAL_RESIDUAL)).limit
+    rep = critical_bracket_check(ctx, BracketTensor.from_rep_vector(tight))
+    assert rep.is_derivation and rep.derivation_residual <= DERIVATION_TOL
 
 
 @pytest.mark.parametrize("tol", ["residual_tol", "derivation_tol"])

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -232,9 +233,9 @@ def test_project_sl_non_finite_eta_exit_1(capsys, entry):
     assert out.err.startswith("error: cannot convert")
 
 
-@pytest.mark.parametrize("cmd, flag", [(cmd, flag) for cmd in ("flow", "verify-flows")
-                                       for flag in ("--t-max", "--dt0", "--tol")]
-                         + [("verify-flows", "--match-tol"), ("bracket", "--tol")])
+@pytest.mark.parametrize("cmd, flag", [("flow", "--t-max"), ("flow", "--tol"),
+                                       ("verify-flows", "--t-max"),
+                                       ("verify-flows", "--match-tol"), ("bracket", "--tol")])
 def test_nan_flow_settings_exit_1(capsys, cmd, flag):
     # NaN used to pass the positivity checks: the flow integrated nothing
     # and verify-flows printed "passed": true with a bare NaN; bracket
@@ -244,7 +245,9 @@ def test_nan_flow_settings_exit_1(capsys, cmd, flag):
                  for value in ("nan", "-1", "5")]
     else:
         vector = "[1,2,0.5,-1,0.3,2,0,1,-2]"
-        argvs = [[cmd, "--family", "adjoint", "--n", "3", "--vector", vector, flag, "nan"]]
+        horizon = ["--t-max", "1"] if flag == "--match-tol" else []
+        argvs = [[cmd, "--family", "adjoint", "--n", "3", "--vector", vector, flag, "nan"]
+                 + horizon]
     for argv in argvs:
         code = run(argv)
         out = capsys.readouterr()
@@ -342,20 +345,11 @@ def test_config_keys_reach_verify_flows(tmp_path, capsys):
     assert overridden["h0"] != from_file["h0"]
 
 
-_FLAGS_READ = {
-    "rep-info": {"--family", "--n", "--weights"},
-    "moment": {"--family", "--n", "--weights", "--vector", "--group"},
-    "flow": {"--family", "--n", "--weights", "--vector", "--group", "--config", "--t-max",
-             "--dt0", "--tol", "--format"},
-    "verify-flows": {"--family", "--n", "--weights", "--vector", "--group", "--config",
-                     "--t-max", "--dt0", "--tol", "--match-tol", "--seed", "--h0"},
-    "label": {"--family", "--n", "--weights", "--vector"},
-    "labels-enumerate": {"--family", "--n", "--weights", "--cap"},
-    "stratum": {"--family", "--n", "--weights", "--vector", "--label"},
-    "jordan": {"--partition"},
-    "bracket": {"--n", "--config", "--t-max", "--dt0", "--tol", "--preset", "--flow"},
-    "project-sl": {"--eta"},
-}
+def _readme_flag_table():
+    """The README's subcommand/flag table: {subcommand: set of flags}."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, flags=re.MULTILINE)
+    return {name: set(re.findall(r"--[a-z0-9-]+", flags)) for name, flags in rows}
 
 
 def test_each_subcommand_registers_only_the_flags_it_reads():
@@ -364,8 +358,8 @@ def test_each_subcommand_registers_only_the_flags_it_reads():
     registered = {name: {opt for action in p._actions for opt in action.option_strings
                          if opt not in ("-h", "--help")}
                   for name, p in sub.choices.items()}
-    assert registered == _FLAGS_READ
-    assert sum(len(flags) for flags in registered.values()) == 52
+    assert registered == _readme_flag_table()
+    assert sum(len(flags) for flags in registered.values()) == 48
 
 
 @pytest.mark.parametrize("argv", [
@@ -466,7 +460,8 @@ def test_flow_error_exits_1(capsys, monkeypatch):
         raise FlowError("metric lost positivity")
 
     monkeypatch.setattr(cli, "verify_flow_equivalence", lose_positivity)
-    code = run(["verify-flows", "--family", "standard", "--n", "2", "--vector", "[1,0]"])
+    code = run(["verify-flows", "--family", "standard", "--n", "2", "--vector", "[1,0]",
+                "--t-max", "1"])
     assert code == 1
     assert capsys.readouterr().err == "error: metric lost positivity\n"
 
@@ -482,6 +477,57 @@ def test_bracket_flow_reaches_the_derivation_verdict(capsys, n):
     check = doc["critical_check"]
     assert check["is_derivation"] is True and check["positive"] is True
     assert check["derivation_residual"] <= 1e-10
+
+
+# one argv per subcommand; flow appears in both of its formats
+_ONE_PER_SUBCOMMAND = [
+    ["rep-info", "--family", "standard", "--n", "2"],
+    ["moment", "--family", "standard", "--n", "2", "--vector", "[1,0]"],
+    ["flow", "--family", "standard", "--n", "3", "--vector", "[1,1,1]", "--t-max", "1"],
+    ["flow", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]", "--format", "json"],
+    ["verify-flows", "--family", "standard", "--n", "2", "--vector", "[1,0]", "--t-max", "1"],
+    ["label", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]"],
+    ["labels-enumerate", "--family", "standard", "--n", "3"],
+    ["stratum", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]",
+     "--label", '{"eta":[1,-1]}'],
+    ["jordan", "--partition", "3,2"],
+    ["bracket", "--preset", "heisenberg", "--n", "3"],
+    ["project-sl", "--eta", "[1,0]"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_subcommands_return_their_documents_and_run_writes_them(capsys, argv):
+    args = _build_parser().parse_args(argv)
+    doc = args.func(args)
+    assert capsys.readouterr().out == ""
+    csv = argv[0] == "flow" and "--format" not in argv
+    assert isinstance(doc, str if csv else dict)
+    text = doc if csv else json.dumps(doc, indent=2) + "\n"
+    assert _capture(capsys, argv) == (0, text)
+
+
+def test_one_argv_per_subcommand_is_listed():
+    assert {argv[0] for argv in _ONE_PER_SUBCOMMAND} == set(_readme_flag_table())
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["moment", "--family", "standard", "--n", "2", "--vector", "[0,0]"], 1,
+     "moment map is undefined at the zero vector"),
+    (["label", "--family", "adjoint", "--n", "2"], 2, "--vector is required"),
+    # bracket checks every setting, not only the ones a flow would read;
+    # --t-max -1 without --flow used to exit 0
+    (["bracket", "--preset", "chain", "--n", "5", "--t-max", "-1"], 1,
+     "flow parameters must be positive"),
+    # without a horizon verify-flows integrated to FlowParams.t_max 1000
+    (["verify-flows", "--family", "adjoint", "--n", "3", "--vector", "[0,1,0,0,0,1,0,0,0]"], 2,
+     "verify-flows needs a horizon: --t-max (or t_max in --config)"),
+], ids=["moment-1", "label-2", "bracket-1", "verify-flows-2"])
+def test_failed_runs_write_nothing_on_stdout(capsys, argv, code, message):
+    assert run(argv) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("eta", ['{"eta":["1"]}', '{"eta":["1","0","-1"]}'])
@@ -500,6 +546,7 @@ def test_stratum_label_of_another_length_exits_1(capsys, eta):
 def test_zero_dimensional_module_raises_the_zero_vector_error(capsys, family, cmd, message):
     # Lambda2(1) and Brackets(1) have dimension 0; the scale check took the
     # max of an empty array and printed numpy's "zero-size array" error
-    code = run([cmd, "--family", family, "--n", "1", "--vector", "[]"])
+    horizon = ["--t-max", "1"] if cmd == "verify-flows" else []
+    code = run([cmd, "--family", family, "--n", "1", "--vector", "[]"] + horizon)
     assert code == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"

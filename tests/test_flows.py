@@ -99,12 +99,15 @@ def test_flow_label_constant_on_k_orbit(rng):
     assert np.abs(res1.limit_moment.spectrum - res2.limit_moment.spectrum).max() <= 1e-6
 
 
-def test_step_halving_stability():
+def test_step_halving_stability(monkeypatch):
+    from momentflow import flows
     ctx = build_context(3, "GL")
     spec = adjoint(3)
     v = adjoint_from_matrix(_e(3, 0, 1) + 2.0 * _e(3, 1, 2))
-    s1 = gradient_flow(ctx, spec, v, FlowParams(dt0=1e-2)).limit_moment.spectrum
-    s2 = gradient_flow(ctx, spec, v, FlowParams(dt0=5e-3)).limit_moment.spectrum
+    monkeypatch.setattr(flows, "FIRST_STEP", 1e-2)
+    s1 = gradient_flow(ctx, spec, v).limit_moment.spectrum
+    monkeypatch.setattr(flows, "FIRST_STEP", 5e-3)
+    s2 = gradient_flow(ctx, spec, v).limit_moment.spectrum
     assert np.abs(s1 - s2).max() <= 1e-8
 
 
@@ -134,14 +137,12 @@ def test_step_underflow_diagnosed():
 
 def test_flow_params_validation():
     with pytest.raises(ValueError):
-        FlowParams(dt0=0.0)
-    with pytest.raises(ValueError):
         FlowParams(residual_tol=2.0)
     with pytest.raises(ValueError):
         FlowParams(max_steps=0)
     nan, inf = float("nan"), float("inf")
-    for bad in ({"dt0": nan}, {"t_max": nan}, {"residual_tol": nan}, {"max_steps": nan},
-                {"sample_stride": nan}, {"dt0": inf}, {"t_max": -inf}, {"residual_tol": inf}):
+    for bad in ({"t_max": nan}, {"residual_tol": nan}, {"max_steps": nan},
+                {"sample_stride": nan}, {"t_max": -inf}, {"residual_tol": inf}):
         with pytest.raises(ValueError):
             FlowParams(**bad)
     assert FlowParams(t_max=inf).t_max == inf
@@ -283,24 +284,27 @@ def test_attempted_step_costs_six_evaluations(monkeypatch):
         return block_error(*args)
 
     monkeypatch.setattr(flows, "_block_error", counting_block_error)
+    monkeypatch.setattr(flows, "FIRST_STEP", 1.0)
     evals = {"n": 0}
 
     def f(y):
         evals["n"] += 1
         return -y
 
-    t, y, status, steps, _ = flows._integrate(f, np.array([1.0]), FlowParams(dt0=1.0, t_max=2.0),
+    t, y, status, steps, _ = flows._integrate(f, np.array([1.0]), FlowParams(t_max=2.0),
                                               [slice(None)], lambda t, y, dy: None)
     assert status == "t_max" and abs(y[0] - np.exp(-2.0)) <= 1e-9
     assert attempts["n"] > steps > 0
     assert evals["n"] == 6 * attempts["n"] + 1
 
 
-def test_driver_owns_sampling_and_stopping():
+def test_driver_owns_sampling_and_stopping(monkeypatch):
     # y' = -y: on_state sees every state, samples are t = 0, every third
     # accepted step and the final state once, and a true on_state stops
+    from momentflow import flows
     from momentflow.flows import _integrate
-    params = FlowParams(dt0=0.1, t_max=2.0, sample_stride=3)
+    monkeypatch.setattr(flows, "FIRST_STEP", 0.1)
+    params = FlowParams(t_max=2.0, sample_stride=3)
     y0 = np.array([1.0])
     seen = []
 
