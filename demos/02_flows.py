@@ -40,8 +40,9 @@ run = coupled_group_flow(ctx, sspec, vbar, np.eye(3), FlowParams(t_max=2.0))
 t, vlast = run.v_samples[-1]
 print(f"\ncoupled flow at t = {t:.2f}: v_1 = {vlast.coords[0]:.8f} vs e^-t = {np.exp(-t):.8f}")
 
-# Metric flow on positive-definite matrices: S' = -(M^T S + S M) with the
-# SPD square root as coset representative; S(t) = diag(e^{-2t}, 1, 1).
+# Metric flow on positive-definite matrices: S' = -2 r m(rho(r) vbar) r with
+# r = sqrt(S), the SPD square root as coset representative; here
+# S(t) = diag(e^{-2t}, 1, 1).
 metric = metric_flow(ctx, sspec, vbar, SpdMetric(np.eye(3)), FlowParams(t_max=2.0))
 t, slast = metric[-1]
 print(f"metric flow at t = {t:.2f}: S_11 = {slast.S[0, 0]:.8f} vs e^-2t = {np.exp(-2 * t):.8f}")

@@ -10,10 +10,9 @@ flowed to their critical direction first.
 
 import numpy as np
 
-from momentflow import (BracketTensor, FlowParams, bracket_preset,
-                        build_context, criticality_residual,
-                        critical_bracket_check, derivation_report,
-                        gradient_flow, moment)
+from momentflow import (FlowParams, bracket_preset, build_context,
+                        criticality_residual, critical_bracket_check,
+                        derivation_report, gradient_flow, moment)
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -21,9 +20,8 @@ np.set_printoptions(precision=6, suppress=True)
 # energy 3, so beta+ = diag(2, 2, 4); the derivation property is exact.
 ctx = build_context(3, "GL")
 mu = bracket_preset("heisenberg", 3)
-v = mu.to_rep_vector()
-print("heisenberg: m(mu) =", np.diag(moment(ctx, v.spec, v).matrix),
-      " residual =", criticality_residual(ctx, v.spec, v))
+print("heisenberg: m(mu) =", np.diag(moment(ctx, mu.spec, mu).matrix),
+      " residual =", criticality_residual(ctx, mu.spec, mu))
 check = critical_bracket_check(ctx, mu)
 print("beta+ =", np.diag(check.beta_plus))
 print("derivation residual:", check.derivation_residual,
@@ -39,8 +37,7 @@ print("identity as candidate derivation: residual =", bad.derivation_residual)
 # critical as given, the n = 5 chain is not and needs the flow.
 for n in (4, 5):
     ctxn = build_context(n, "GL")
-    chain = bracket_preset("chain", n)
-    w = chain.to_rep_vector()
+    w = bracket_preset("chain", n)
     res0 = criticality_residual(ctxn, w.spec, w)
     if res0 > 1e-9:
         flow = gradient_flow(ctxn, w.spec, w, FlowParams(residual_tol=1e-12))
@@ -48,9 +45,9 @@ for n in (4, 5):
         print(f"\nchain n={n}: flowed {flow.steps} steps from residual {res0:.3f}")
     else:
         print(f"\nchain n={n}: already critical (residual {res0:.2e})")
-    check = critical_bracket_check(ctxn, BracketTensor.from_rep_vector(w))
+    check = critical_bracket_check(ctxn, w)
     print("beta spectrum:", check.beta.spectrum)
     print("beta+ eigenvalues:", np.real(check.eigenvalues), " positive:", check.positive)
-    rep = derivation_report(BracketTensor.from_rep_vector(w), check.beta_plus)
+    rep = derivation_report(w, check.beta_plus)
     print("lower-central-series dims:", rep.filtration_dims,
           " invariance residual: %.2e" % rep.filtration_invariance_residual)

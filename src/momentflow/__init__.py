@@ -11,7 +11,8 @@ from .cartan import (CartanContext, build_context, parabolic_lie_algebra,
                      spd_sqrt, weyl_normalize)
 from .reps import (ADJOINT, BRACKETS, DUAL, LAMBDA2, STANDARD, TORUS_WEIGHTS,
                    RepSpec, RepVector, adjoint, adjoint_from_matrix,
-                   adjoint_to_matrix, apply_group, apply_lie, brackets, dual,
+                   adjoint_to_matrix, apply_group, apply_lie, brackets,
+                   brackets_from_tensor, brackets_tensor, dual,
                    lambda2, lambda2_embed, lambda2_from_matrix,
                    lambda2_to_matrix, rep_dim, rep_vector, standard,
                    torus_weights, vector_from_json, vector_to_json,
@@ -31,8 +32,7 @@ from .hesselink import (MINUS_INFINITY, HesselinkLabel, KnFlowReport,
                         project_to_sl, state_of, stratum_membership)
 from .jordan import (JordanLabelReport, Partition, dominates, jordan_label,
                      jordan_vector, partitions)
-from .bracket import (BracketTensor, CriticalBracketReport, DerivationReport,
-                       bracket_preset, critical_bracket_check,
-                       derivation_report)
+from .bracket import (CriticalBracketReport, DerivationReport, bracket_preset,
+                       critical_bracket_check, derivation_report)
 
 __version__ = "0.1.0"

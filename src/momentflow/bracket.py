@@ -1,8 +1,8 @@
 """Nilpotent brackets: presets, derivations, and the critical-point check.
 
-A bracket is an antisymmetric bilinear map mu: R^n x R^n -> R^n, stored by
-its structure constants c^l_{ij} for i < j.  At a critical direction of the
-energy, the shifted moment value
+A bracket, an antisymmetric bilinear map mu: R^n x R^n -> R^n, is a vector of
+``reps.brackets(n)``; ``reps.brackets_tensor`` gives its structure constants.
+At a critical direction of the energy, the shifted moment value
 
     beta_plus = m(mu) + tr(m(mu)^2) * I
 
@@ -20,13 +20,14 @@ import numpy as np
 
 from .cartan import CartanContext
 from .momentmap import MomentValue, criticality_residual, moment
-from .reps import BRACKETS, SQRT2, RepVector, _coords, _lie, _tensor, brackets
+from .reps import SQRT2, RepVector, _lie, brackets_from_tensor, brackets_tensor
 
 __all__ = [
-    "BracketTensor",
     "DerivationReport",
     "CriticalBracketReport",
     "bracket_preset",
+    "jacobi_residual",
+    "jacobi_ok",
     "derivation_report",
     "critical_bracket_check",
 ]
@@ -42,61 +43,20 @@ DERIVATION_TOL = 1e-10
 CRITICAL_RESIDUAL = SQRT2 * DERIVATION_TOL
 
 
-@dataclass(frozen=True)
-class BracketTensor:
-    """Structure constants of an antisymmetric bilinear map on R^n.
-
-    ``c[p, l]`` is the e_l-coefficient of mu(e_i, e_j) for the p-th pair
-    (i, j), i < j, pairs ordered lexicographically.
-    """
-
-    n: int
-    c: np.ndarray
-
-    def __post_init__(self):
-        npairs = self.n * (self.n - 1) // 2
-        c = np.ascontiguousarray(self.c, dtype=float)
-        if c.shape != (npairs, self.n):
-            raise ValueError(f"expected structure constants of shape ({npairs}, {self.n})")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("structure constants must be finite")
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
-
-    @property
-    def tensor(self) -> np.ndarray:
-        """Full antisymmetrized tensor T[l, i, j] = mu(e_i, e_j)_l."""
-        return _tensor(brackets(self.n), self.c.reshape(-1))
-
-    def mu(self, x, y) -> np.ndarray:
-        """Evaluate mu(x, y)."""
-        return np.einsum("lij,i,j->l", self.tensor,
-                         np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-    def jacobi_residual(self) -> float:
-        """Max norm of the Jacobi cyclic sum over basis triples."""
-        t = self.tensor
-        # sum_m T[l,m,k] T[m,i,j] cycled over (i, j, k)
-        a = np.einsum("lmk,mij->lijk", t, t)
-        cyc = a + np.transpose(a, (0, 2, 3, 1)) + np.transpose(a, (0, 3, 1, 2))
-        return float(np.abs(cyc).max())
-
-    @property
-    def jacobi_ok(self) -> bool:
-        return self.jacobi_residual() <= JACOBI_TOL
-
-    def to_rep_vector(self) -> RepVector:
-        # coordinates are sqrt(2) c in the same (pair, target) order
-        return RepVector(brackets(self.n), SQRT2 * self.c.reshape(-1))
-
-    @classmethod
-    def from_rep_vector(cls, v: RepVector) -> "BracketTensor":
-        if v.spec.family != BRACKETS:
-            raise ValueError("not a Brackets vector")
-        return cls(n=v.spec.n, c=(v.coords / SQRT2).reshape(-1, v.spec.n))
+def jacobi_residual(mu: RepVector) -> float:
+    """Max norm of the Jacobi cyclic sum over basis triples."""
+    t = brackets_tensor(mu)
+    # sum_m T[l,m,k] T[m,i,j] cycled over (i, j, k)
+    a = np.einsum("lmk,mij->lijk", t, t)
+    cyc = a + np.transpose(a, (0, 2, 3, 1)) + np.transpose(a, (0, 3, 1, 2))
+    return float(np.abs(cyc).max())
 
 
-def bracket_preset(name: str, n: int) -> BracketTensor:
+def jacobi_ok(mu: RepVector) -> bool:
+    return jacobi_residual(mu) <= JACOBI_TOL
+
+
+def bracket_preset(name: str, n: int) -> RepVector:
     """Built-in nilpotent Lie brackets.
 
     * ``heisenberg`` (n = 3): mu(e1, e2) = e3.
@@ -112,20 +72,19 @@ def bracket_preset(name: str, n: int) -> BracketTensor:
             raise ValueError("the chain preset needs n >= 3")
     else:
         raise ValueError(f"unknown bracket preset {name!r}")
-    t = np.zeros((n, n, n))  # T[l, i, j] for i < j; _coords reads only those
+    t = np.zeros((n, n, n))  # T[l, i, j] for i < j; only those are read
     if name == "heisenberg":
         t[2, 0, 1] = 1.0
     else:
         for i in range(1, n - 1):  # mu(e1, e_{i+1}) = e_{i+2}, 0-based
             t[i + 1, 0, i] = 1.0
-    return BracketTensor(n=n, c=_coords(brackets(n), t).reshape(-1, n))
+    return brackets_from_tensor(t)
 
 
-def _lower_central_series(mu: BracketTensor) -> list[np.ndarray]:
+def _lower_central_series(t: np.ndarray) -> list[np.ndarray]:
     """Orthonormal bases of V_1 = R^n, V_2 = [n, n], V_3 = [n, V_2], ...
-    down to the last nonzero term."""
-    n = mu.n
-    t = mu.tensor
+    down to the last nonzero term, for the structure tensor t."""
+    n = t.shape[0]
     bases = [np.eye(n)]
     while len(bases) <= n + 1:
         prev = bases[-1]
@@ -155,15 +114,16 @@ class DerivationReport:
     filtration_invariance_residual: float
 
 
-def derivation_report(mu: BracketTensor, d) -> DerivationReport:
+def derivation_report(mu: RepVector, d) -> DerivationReport:
     """Residual of D mu(x,y) = mu(Dx,y) + mu(x,Dy) over basis pairs, the
     eigenvalues of D, and whether D respects the lower central series."""
+    t = brackets_tensor(mu)
     d = np.asarray(d, dtype=float)
-    n = mu.n
+    n = mu.spec.n
     if d.shape != (n, n):
         raise ValueError(f"D must be {n} x {n}")
     # D mu - mu(D., .) - mu(., D.) is pi(D) mu for the slot signs (1, -1, -1)
-    pi_d = _lie(brackets(n), d, mu.c.reshape(-1)).reshape(-1, n)
+    pi_d = _lie(mu.spec, d, mu.coords / SQRT2).reshape(-1, n)
     residual = float(np.linalg.norm(pi_d, axis=1).max(initial=0.0))
 
     if np.abs(d - d.T).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(d).max(initial=0.0)):
@@ -175,7 +135,7 @@ def derivation_report(mu: BracketTensor, d) -> DerivationReport:
             eig = eig.real
     all_positive = bool(np.all(np.real(eig) > 0) and np.abs(np.imag(eig)).max(initial=0.0) <= 1e-12)
 
-    bases = _lower_central_series(mu)
+    bases = _lower_central_series(t)
     dims = tuple(b.shape[1] for b in bases)
     inv_res = 0.0
     for b in bases:
@@ -204,7 +164,7 @@ class CriticalBracketReport:
     orthogonality_residual: float
 
 
-def critical_bracket_check(ctx: CartanContext, mu: BracketTensor,
+def critical_bracket_check(ctx: CartanContext, mu: RepVector,
                            residual_tol: float = CRITICAL_RESIDUAL,
                            derivation_tol: float = DERIVATION_TOL) -> CriticalBracketReport:
     """Check the derivation property of beta_plus at a critical bracket.
@@ -216,14 +176,15 @@ def critical_bracket_check(ctx: CartanContext, mu: BracketTensor,
     """
     if not (residual_tol > 0 and derivation_tol > 0):
         raise ValueError("residual_tol and derivation_tol must be positive")
-    v = mu.to_rep_vector().normalized()
+    brackets_tensor(mu)  # rejects a vector of another family
+    v = mu.normalized()
     res = criticality_residual(ctx, v.spec, v)
     if res > residual_tol:
         raise ValueError(f"bracket is not critical (residual {res:.3g} > {residual_tol:g}); "
                          "flow it to that bound first")
     beta = moment(ctx, v.spec, v)
     beta_plus = beta.matrix + beta.energy * np.eye(ctx.n)
-    rep = derivation_report(BracketTensor.from_rep_vector(v), beta_plus)
+    rep = derivation_report(v, beta_plus)
     ortho = float(abs(np.tensordot(beta_plus, beta.matrix, axes=([0, 1], [0, 1]))))
     return CriticalBracketReport(
         beta=beta,

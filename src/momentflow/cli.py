@@ -276,20 +276,18 @@ def _cmd_bracket(args) -> dict:
     params = _flow_params(_settings(args))
     mu = bracketmod.bracket_preset(args.preset, args.n)
     ctx = build_context(args.n, "GL")
-    v = mu.to_rep_vector().normalized()
+    v = mu.normalized()
     res = criticality_residual(ctx, v.spec, v)
     flowed = False
     target = min(params.residual_tol, bracketmod.CRITICAL_RESIDUAL)
     if res > target and args.flow:
-        result = gradient_flow(ctx, v.spec, v, replace(params, residual_tol=target))
-        v = result.limit
-        mu = bracketmod.BracketTensor.from_rep_vector(v)
+        mu = v = gradient_flow(ctx, v.spec, v, replace(params, residual_tol=target)).limit
         res = criticality_residual(ctx, v.spec, v)
         flowed = True
     doc = {
         "preset": args.preset,
         "n": args.n,
-        "jacobi_ok": mu.jacobi_ok,
+        "jacobi_ok": bracketmod.jacobi_ok(mu),
         "flowed": flowed,
         "criticality_residual": res,
         "moment_matrix": _matrix(moment(ctx, v.spec, v).matrix),
@@ -398,7 +396,7 @@ def run(argv: list[str]) -> int:
             code = 0
         except UsageError as exc:
             code, error = 2, exc
-        except (ValueError, FlowError, OSError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError, FlowError, OSError, KeyError) as exc:
             code, error = 1, exc
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)

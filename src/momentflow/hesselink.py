@@ -309,6 +309,8 @@ def label_from_json(doc) -> HesselinkLabel | None:
     """Parse a label document; accepts 'p/q' strings, ints, or [p, q] pairs."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("a label document must be a JSON object")
     if doc.get("semistable"):
         return None
     eta = tuple(_parse_rational(x) for x in doc["eta"])

@@ -52,6 +52,7 @@ __all__ = [
     "lambda2_embed",
     "adjoint_from_matrix", "adjoint_to_matrix",
     "lambda2_from_matrix", "lambda2_to_matrix",
+    "brackets_tensor", "brackets_from_tensor",
     "vector_to_json", "vector_from_json",
 ]
 
@@ -300,7 +301,10 @@ def brackets_tensor(v: RepVector) -> np.ndarray:
 
 
 def brackets_from_tensor(t) -> RepVector:
+    """The Brackets vector of a structure tensor; reads T[l, i, j] for i < j."""
     t = np.asarray(t, dtype=float)
+    if t.ndim != 3 or t.shape != (t.shape[0],) * 3:
+        raise ValueError(f"expected a structure tensor of shape (n, n, n), got shape {t.shape}")
     spec = brackets(t.shape[0])
     return RepVector(spec, SQRT2 * _coords(spec, t))
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from momentflow import (adjoint, brackets, dual, lambda2, rep_vector, standard)
+from momentflow import (adjoint, brackets, brackets_tensor, dual, lambda2, rep_vector,
+                        standard)
 
 
 @pytest.fixture
@@ -30,3 +31,9 @@ def matrix_families(n):
 
 def random_vector(rng, spec):
     return rep_vector(spec, rng.normal(size=spec.dim))
+
+
+def bracket_value(mu, x, y):
+    """mu(x, y) for a Brackets vector mu, read off its structure tensor."""
+    return np.einsum("lij,i,j->l", brackets_tensor(mu),
+                     np.asarray(x, dtype=float), np.asarray(y, dtype=float))

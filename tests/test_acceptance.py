@@ -110,7 +110,7 @@ def test_criterion_05_flow_equivalence():
     cases = [
         (standard(3), rep_vector(standard(3), e[0])),
         (adjoint(3), adjoint_from_matrix(x)),
-        (brackets(3), bracket_preset("heisenberg", 3).to_rep_vector()),
+        (brackets(3), bracket_preset("heisenberg", 3)),
     ]
     worst_v = worst_s = 0.0
     ok = True
@@ -197,7 +197,7 @@ def test_criterion_08_kn_equals_hesselink_via_flow():
             ok = ok and rep.match
             worst = max(worst, rep.max_deviation)
     ctx3 = build_context(3, "GL")
-    mu = bracket_preset("heisenberg", 3).to_rep_vector()
+    mu = bracket_preset("heisenberg", 3)
     rep = kn_label_via_flow(ctx3, brackets(3), mu, match_tol=1e-5)
     ok = ok and rep.match
     worst = max(worst, rep.max_deviation)
@@ -209,7 +209,7 @@ def test_criterion_08_kn_equals_hesselink_via_flow():
 def test_criterion_09_heisenberg_exact_values():
     ctx = build_context(3, "GL")
     mu = bracket_preset("heisenberg", 3)
-    mv = moment(ctx, brackets(3), mu.to_rep_vector())
+    mv = moment(ctx, brackets(3), mu)
     rep = critical_bracket_check(ctx, mu)
     drep = derivation_report(mu, np.diag([2.0, 2.0, 4.0]))
     ok = (np.abs(mv.matrix - np.diag([-1.0, -1.0, 1.0])).max() <= 1e-12

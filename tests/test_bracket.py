@@ -1,32 +1,69 @@
 import numpy as np
 import pytest
 
-from momentflow import (BracketTensor, bracket_preset, build_context,
-                        criticality_residual, critical_bracket_check,
-                        derivation_report, gradient_flow, FlowParams)
-from momentflow.bracket import CRITICAL_RESIDUAL, DERIVATION_TOL
+from momentflow import (adjoint, bracket_preset, brackets, brackets_from_tensor,
+                        brackets_tensor, build_context, criticality_residual,
+                        critical_bracket_check, derivation_report, gradient_flow,
+                        FlowParams)
+from momentflow.bracket import CRITICAL_RESIDUAL, DERIVATION_TOL, jacobi_ok, jacobi_residual
+
+from conftest import bracket_value as mu_of, random_vector
 
 
 def test_heisenberg_preset():
     mu = bracket_preset("heisenberg", 3)
-    assert np.array_equal(mu.mu([1, 0, 0], [0, 1, 0]), [0.0, 0.0, 1.0])
-    assert np.array_equal(mu.mu([0, 1, 0], [1, 0, 0]), [0.0, 0.0, -1.0])
-    assert mu.jacobi_ok
+    assert np.array_equal(mu_of(mu, [1, 0, 0], [0, 1, 0]), [0.0, 0.0, 1.0])
+    assert np.array_equal(mu_of(mu, [0, 1, 0], [1, 0, 0]), [0.0, 0.0, -1.0])
+    assert jacobi_ok(mu)
     # single nonzero structure constant
-    assert np.count_nonzero(mu.c) == 1
+    assert np.count_nonzero(mu.coords) == 1
 
 
 def test_chain_presets():
-    assert np.array_equal(bracket_preset("chain", 3).c, bracket_preset("heisenberg", 3).c)
+    assert np.array_equal(bracket_preset("chain", 3).coords,
+                          bracket_preset("heisenberg", 3).coords)
     mu = bracket_preset("chain", 4)
-    assert np.array_equal(mu.mu([1, 0, 0, 0], [0, 1, 0, 0]), [0, 0, 1, 0])
-    assert np.array_equal(mu.mu([1, 0, 0, 0], [0, 0, 1, 0]), [0, 0, 0, 1])
+    assert np.array_equal(mu_of(mu, [1, 0, 0, 0], [0, 1, 0, 0]), [0, 0, 1, 0])
+    assert np.array_equal(mu_of(mu, [1, 0, 0, 0], [0, 0, 1, 0]), [0, 0, 0, 1])
     # oracle: direct Jacobi expansion over the only interacting triple
-    j = (mu.mu(mu.mu([1, 0, 0, 0], [0, 1, 0, 0]), [0, 0, 1, 0])
-         + mu.mu(mu.mu([0, 1, 0, 0], [0, 0, 1, 0]), [1, 0, 0, 0])
-         + mu.mu(mu.mu([0, 0, 1, 0], [1, 0, 0, 0]), [0, 1, 0, 0]))
+    j = (mu_of(mu, mu_of(mu, [1, 0, 0, 0], [0, 1, 0, 0]), [0, 0, 1, 0])
+         + mu_of(mu, mu_of(mu, [0, 1, 0, 0], [0, 0, 1, 0]), [1, 0, 0, 0])
+         + mu_of(mu, mu_of(mu, [0, 0, 1, 0], [1, 0, 0, 0]), [0, 1, 0, 0]))
     assert np.abs(j).max() == 0.0
-    assert mu.jacobi_residual() == 0.0
+    assert jacobi_residual(mu) == 0.0
+
+
+@pytest.mark.parametrize("name,n", [("heisenberg", 3), ("chain", 3), ("chain", 4),
+                                    ("chain", 6)])
+def test_preset_tensors_hold_exactly_their_structure_constants(name, n):
+    # heisenberg: mu(e1, e2) = e3; chain: mu(e1, e_{i+1}) = e_{i+2} (0-based
+    # T[i+1, 0, i] = 1), each with its antisymmetric mirror, zero elsewhere
+    pairs = [(2, 0, 1)] if name == "heisenberg" else [(i + 1, 0, i) for i in range(1, n - 1)]
+    expected = np.zeros((n, n, n))
+    for l, i, j in pairs:
+        expected[l, i, j], expected[l, j, i] = 1.0, -1.0
+    assert np.array_equal(brackets_tensor(bracket_preset(name, n)), expected)
+
+
+def test_bracket_checks_reject_other_families(rng):
+    v = random_vector(rng, adjoint(3))
+    for check in (jacobi_residual, lambda mu: derivation_report(mu, np.eye(3)),
+                  lambda mu: critical_bracket_check(build_context(3, "GL"), mu)):
+        with pytest.raises(ValueError, match="not a Brackets vector"):
+            check(v)
+
+
+@pytest.mark.parametrize("name,n", [("heisenberg", 3), ("chain", 4)])
+def test_critical_bracket_check_is_scale_invariant(name, n):
+    ctx = build_context(n, "GL")
+    mu = bracket_preset(name, n)
+    a = critical_bracket_check(ctx, mu)
+    b = critical_bracket_check(ctx, brackets_from_tensor(2.0 * brackets_tensor(mu)))
+    assert np.array_equal(a.beta.matrix, b.beta.matrix)
+    assert np.array_equal(a.beta_plus, b.beta_plus)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert (a.is_derivation, a.derivation_residual, a.positive, a.orthogonality_residual) == \
+        (b.is_derivation, b.derivation_residual, b.positive, b.orthogonality_residual)
 
 
 def test_preset_errors():
@@ -38,18 +75,13 @@ def test_preset_errors():
         bracket_preset("free", 3)
 
 
-def test_rep_vector_round_trip():
-    mu = bracket_preset("chain", 5)
-    back = BracketTensor.from_rep_vector(mu.to_rep_vector())
-    assert np.abs(back.c - mu.c).max() <= 1e-15
-
-
 def test_derivation_report_heisenberg_scaling():
     # oracle: D(mu(e1,e2)) = 4 e3 while mu(De1,e2) + mu(e1,De2) = (2+2) e3
     mu = bracket_preset("heisenberg", 3)
     d = np.diag([2.0, 2.0, 4.0])
-    lhs = d @ mu.mu([1, 0, 0], [0, 1, 0])
-    rhs = mu.mu(d @ np.array([1.0, 0, 0]), [0, 1, 0]) + mu.mu([1, 0, 0], d @ np.array([0.0, 1, 0]))
+    lhs = d @ mu_of(mu, [1, 0, 0], [0, 1, 0])
+    rhs = (mu_of(mu, d @ np.array([1.0, 0, 0]), [0, 1, 0])
+           + mu_of(mu, [1, 0, 0], d @ np.array([0.0, 1, 0])))
     assert np.array_equal(lhs, rhs)
 
     rep = derivation_report(mu, d)
@@ -92,7 +124,7 @@ def test_critical_bracket_check_requires_criticality():
     mu = bracket_preset("chain", 5)
     with pytest.raises(ValueError):
         critical_bracket_check(ctx, mu)
-    zero = BracketTensor(3, np.zeros((3, 3)))
+    zero = brackets_from_tensor(np.zeros((3, 3, 3)))
     with pytest.raises(ValueError):
         critical_bracket_check(build_context(3, "GL"), zero)
 
@@ -101,12 +133,12 @@ def test_check_default_bound_reaches_the_derivation_verdict():
     # a flow to the FlowParams default 1e-9 used to pass the check's old
     # default residual_tol 1e-9 and report is_derivation false (4.73e-10)
     ctx = build_context(5, "GL")
-    v = bracket_preset("chain", 5).to_rep_vector()
+    v = bracket_preset("chain", 5)
     loose = gradient_flow(ctx, v.spec, v).limit
     with pytest.raises(ValueError, match=r"not critical \(residual .* > 1\.41421e-10\)"):
-        critical_bracket_check(ctx, BracketTensor.from_rep_vector(loose))
+        critical_bracket_check(ctx, loose)
     tight = gradient_flow(ctx, v.spec, v, FlowParams(residual_tol=CRITICAL_RESIDUAL)).limit
-    rep = critical_bracket_check(ctx, BracketTensor.from_rep_vector(tight))
+    rep = critical_bracket_check(ctx, tight)
     assert rep.is_derivation and rep.derivation_residual <= DERIVATION_TOL
 
 
@@ -122,11 +154,10 @@ def test_critical_bracket_check_rejects_non_positive_tolerances(tol, value):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_chain_flow_limits_have_positive_derivations(n):
     ctx = build_context(n, "GL")
-    mu = bracket_preset("chain", n)
-    v = mu.to_rep_vector()
+    v = bracket_preset("chain", n)
     if criticality_residual(ctx, v.spec, v) > 1e-9:
         v = gradient_flow(ctx, v.spec, v, FlowParams(residual_tol=1e-12)).limit
-    rep = critical_bracket_check(ctx, BracketTensor.from_rep_vector(v))
+    rep = critical_bracket_check(ctx, v)
     assert rep.positive
     assert abs(np.trace(rep.beta.matrix) + 1.0) <= 1e-9
     assert rep.orthogonality_residual <= 1e-9
@@ -147,9 +178,9 @@ def test_derivation_residual_is_pi_d_of_the_bracket(rng):
     # oracle: D mu(e_i, e_j) - mu(D e_i, e_j) - mu(e_i, D e_j) by einsum on
     # the full tensor, max over pairs of the norm over targets
     for n in (3, 4, 5):
-        mu = BracketTensor(n, rng.normal(size=(n * (n - 1) // 2, n)))
+        mu = random_vector(rng, brackets(n))
         d = rng.normal(size=(n, n))
-        t = mu.tensor
+        t = brackets_tensor(mu)
         diff = (np.einsum("lm,mij->lij", d, t) - np.einsum("lmj,mi->lij", t, d)
                 - np.einsum("lim,mj->lij", t, d))
         oracle = np.linalg.norm(diff.reshape(n, -1), axis=0).max()
@@ -166,5 +197,5 @@ def test_derivation_residual_is_bounded_by_the_criticality_residual(rng, n):
     for _ in range(5):
         v = rep_vector(spec, rng.normal(size=spec.dim)).normalized()
         beta_plus = moment(ctx, spec, v).matrix + energy(ctx, spec, v) * np.eye(n)
-        res = derivation_report(BracketTensor.from_rep_vector(v), beta_plus).derivation_residual
+        res = derivation_report(v, beta_plus).derivation_residual
         assert res <= criticality_residual(ctx, spec, v) / np.sqrt(2.0) * (1 + 1e-12)

@@ -550,3 +550,26 @@ def test_zero_dimensional_module_raises_the_zero_vector_error(capsys, family, cm
     code = run([cmd, "--family", family, "--n", "1", "--vector", "[]"] + horizon)
     assert code == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+_STRATUM = ["stratum", "--family", "adjoint", "--n", "2", "--vector", "[0,1,0,0]", "--label"]
+
+
+@pytest.mark.parametrize("argv", [
+    _STRATUM + ["[1,2]"],
+    _STRATUM + ['{"eta":[null,1]}'],
+    _STRATUM + ['{"eta":["1/0","0"]}'],
+    ["project-sl", "--eta", "[[1]]"],
+    ["project-sl", "--eta", "5"],
+    ["project-sl", "--eta", '["1/0"]'],
+    ["rep-info", "--weights", "5"],
+], ids=["label-list", "label-null", "label-1/0", "eta-nested", "eta-scalar", "eta-1/0",
+        "weights-scalar"])
+def test_malformed_documents_exit_1_with_one_error_line(capsys, argv):
+    # each of these used to escape run() as AttributeError, TypeError or
+    # ZeroDivisionError
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+    assert "Traceback" not in out.err

@@ -252,7 +252,7 @@ def test_verify_flow_equivalence_critical_bracket():
     # at a critical direction the vector flow only rescales
     ctx = build_context(3, "GL")
     spec = brackets(3)
-    vbar = bracket_preset("heisenberg", 3).to_rep_vector()
+    vbar = bracket_preset("heisenberg", 3)
     rep = verify_flow_equivalence(ctx, spec, vbar, np.eye(3), 5.0)
     assert rep.passed
 
@@ -524,7 +524,7 @@ def test_right_hand_side_evaluations_at_most_half_of_step_doubling(monkeypatch, 
     for name in ("gradient", "moment_and_gradient"):
         monkeypatch.setattr(RepAction, name, counting(getattr(RepAction, name)))
     evals["n"] = 0
-    mu = bracket_preset("chain", 6).to_rep_vector().normalized()
+    mu = bracket_preset("chain", 6).normalized()
     res = gradient_flow(build_context(6, "GL"), mu.spec, mu)
     assert res.converged and evals["n"] <= 10_615 // 2
     assert gradients["n"] == evals["n"]
@@ -598,7 +598,7 @@ def test_direction_flow_work_counters(monkeypatch):
     for name in ("gradient", "moment_and_gradient"):
         monkeypatch.setattr(RepAction, name, counting(getattr(RepAction, name)))
     for n, max_evaluations, max_steps in ((6, 1_000, None), (7, None, 200)):
-        mu = bracket_preset("chain", n).to_rep_vector().normalized()
+        mu = bracket_preset("chain", n).normalized()
         ctx = build_context(n, "GL")
         gradients["n"] = 0
         res = gradient_flow(ctx, mu.spec, mu)
@@ -729,7 +729,7 @@ def test_direction_flow_converges_below_the_local_error_target():
     # where DP5 no longer damps that mode, and the residual hovers near 1e-10
     # until t_max (803 steps); the raw field's radial decay held dt near 0.03
     # (363 steps)
-    mu = bracket_preset("chain", 5).to_rep_vector().normalized()
+    mu = bracket_preset("chain", 5).normalized()
     res = gradient_flow(build_context(5, "GL"), mu.spec, mu, FlowParams(residual_tol=1e-12))
     assert res.converged and res.steps <= 200
     assert res.residual_trace[-1][1] <= 1e-12

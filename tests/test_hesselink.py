@@ -33,7 +33,7 @@ def _e(n, i, j):
 def test_state_of_examples():
     assert state_of(adjoint(2), adjoint_from_matrix(_e(2, 0, 1))) == [(1, -1)]
     assert state_of(adjoint(3), adjoint_from_matrix(np.eye(3))) == [(0, 0, 0)]
-    mu = bracket_preset("heisenberg", 3).to_rep_vector()
+    mu = bracket_preset("heisenberg", 3)
     assert state_of(brackets(3), mu) == [(-1, -1, 1)]
 
 
@@ -399,7 +399,7 @@ def test_kn_label_via_flow_examples():
     assert rep.match
     assert np.abs(rep.spectrum - np.array([0.5, 0.0, -0.5])).max() <= 1e-5
 
-    mu = bracket_preset("heisenberg", 3).to_rep_vector()
+    mu = bracket_preset("heisenberg", 3)
     rep = kn_label_via_flow(ctx3, brackets(3), mu)
     assert rep.match
     assert rep.hesselink.eta == (F(1), F(-1), F(-1))

@@ -10,7 +10,7 @@ from momentflow import (adjoint, adjoint_from_matrix, apply_group, apply_lie,
                         torus_weights, translated_moment)
 from momentflow.bracket import bracket_preset
 
-from conftest import matrix_families, random_orthogonal, random_vector
+from conftest import bracket_value, matrix_families, random_orthogonal, random_vector
 
 
 def _e(n, i, j):
@@ -20,7 +20,7 @@ def _e(n, i, j):
 
 
 def _heisenberg_vector():
-    return bracket_preset("heisenberg", 3).to_rep_vector()
+    return bracket_preset("heisenberg", 3)
 
 
 def test_standard_basis_vector():
@@ -50,8 +50,8 @@ def _pi_bracket_coefficient(mu, s):
     nrm2 = 0.0
     for i in range(n):
         for j in range(n):
-            mij = mu.mu(e[i], e[j])
-            pij = s @ mij - mu.mu(s @ e[i], e[j]) - mu.mu(e[i], s @ e[j])
+            mij = bracket_value(mu, e[i], e[j])
+            pij = s @ mij - bracket_value(mu, s @ e[i], e[j]) - bracket_value(mu, e[i], s @ e[j])
             num += pij @ mij
             nrm2 += mij @ mij
     return num / nrm2
@@ -65,10 +65,10 @@ def test_heisenberg_moment_value():
     expected = np.array([-1.0, -1.0, 1.0])
     for k in range(3):
         assert _pi_bracket_coefficient(mu, _e(3, k, k)) == expected[k]
-    mv = moment(ctx, brackets(3), mu.to_rep_vector())
+    mv = moment(ctx, brackets(3), mu)
     assert np.abs(mv.matrix - np.diag(expected)).max() <= 1e-14
     assert abs(mv.energy - 3.0) <= 1e-13
-    assert abs(energy(ctx, brackets(3), mu.to_rep_vector()) - 3.0) <= 1e-13
+    assert abs(energy(ctx, brackets(3), mu) - 3.0) <= 1e-13
 
 
 def test_closed_form_adjoint_nilpotent():

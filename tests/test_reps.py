@@ -7,10 +7,11 @@ from momentflow import (adjoint, adjoint_from_matrix, adjoint_to_matrix, apply_g
                         lambda2_from_matrix, lambda2_to_matrix, rep_dim, rep_vector, standard,
                         torus_weights, vector_from_json, vector_to_json,
                         weight_components, weights_of)
-from momentflow.bracket import BracketTensor, bracket_preset
+from momentflow.bracket import bracket_preset
 from momentflow.reps import RepSpec, _weight_spaces, brackets_from_tensor, brackets_tensor
 
-from conftest import matrix_families, random_orthogonal, random_vector, random_well_conditioned
+from conftest import (bracket_value, matrix_families, random_orthogonal, random_vector,
+                      random_well_conditioned)
 
 
 def _e(n, i, j):
@@ -44,7 +45,7 @@ def test_adjoint_conjugation_example():
 def test_brackets_scaling_by_central_elements():
     # (rho(cI) mu)(x, y) = c mu(x/c, y/c) = mu(x, y) / c
     spec = brackets(3)
-    mu = bracket_preset("heisenberg", 3).to_rep_vector()
+    mu = bracket_preset("heisenberg", 3)
     for c in (2.0, -0.5):
         out = apply_group(spec, c * np.eye(3), mu)
         assert np.abs(out.coords - mu.coords / c).max() <= 1e-14
@@ -65,13 +66,12 @@ def test_brackets_lie_action_on_heisenberg():
     # oracle: pi(S)mu(x,y) = S mu(x,y) - mu(Sx,y) - mu(x,Sy) term by term;
     # for S = E_33 only the first term survives on (e1, e2) and gives e3 back
     spec = brackets(3)
-    mu = bracket_preset("heisenberg", 3)
-    v = mu.to_rep_vector()
+    v = bracket_preset("heisenberg", 3)
     s = _e(3, 0, 0)
-    lhs = s @ mu.mu([1, 0, 0], [0, 1, 0])
-    lhs -= mu.mu(s @ np.array([1.0, 0, 0]), [0, 1, 0])
-    lhs -= mu.mu([1, 0, 0], s @ np.array([0.0, 1, 0]))
-    assert np.array_equal(lhs, -mu.mu([1, 0, 0], [0, 1, 0]))  # hand expansion for E_11
+    lhs = s @ bracket_value(v, [1, 0, 0], [0, 1, 0])
+    lhs -= bracket_value(v, s @ np.array([1.0, 0, 0]), [0, 1, 0])
+    lhs -= bracket_value(v, [1, 0, 0], s @ np.array([0.0, 1, 0]))
+    assert np.array_equal(lhs, -bracket_value(v, [1, 0, 0], [0, 1, 0]))  # hand expansion for E_11
 
     out = apply_lie(spec, _e(3, 2, 2), v)
     assert np.abs(out.coords - v.coords).max() == 0.0
@@ -320,9 +320,13 @@ def test_pair_bridges_match_pair_loops(rng):
     assert np.array_equal(brackets_tensor(mu), t)
     back = np.sqrt(2.0) * np.concatenate([t[:, i, j] for (i, j) in pairs])
     assert np.array_equal(brackets_from_tensor(t).coords, back)
-    bt = BracketTensor.from_rep_vector(mu)
-    assert np.array_equal(bt.c, np.stack([t[:, i, j] for (i, j) in pairs]))
-    assert np.array_equal(bt.tensor, t)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (3, 3), (2, 2, 2, 2)])
+def test_brackets_from_tensor_rejects_non_cubic_tensors(shape):
+    # a (3, 4, 4) tensor used to give a brackets(3) vector of its 3 x 3 corner
+    with pytest.raises(ValueError, match="shape"):
+        brackets_from_tensor(np.zeros(shape))
 
 
 @pytest.mark.parametrize("spec", [lambda2(1), brackets(1)], ids=lambda s: s.family)
