@@ -22,7 +22,7 @@ from . import hesselink, jordan
 from .cartan import build_context
 from .flows import (FlowError, FlowParams, flow_trajectory_csv, gradient_flow,
                     verify_flow_equivalence)
-from .hesselink import _fraction_str
+from .hesselink import _fraction_str, _parse_rational
 from .momentmap import closed_form_moment, criticality_residual, moment
 from .reps import (TORUS_WEIGHTS, RepSpec, canonical_family, rep_vector,
                    torus_weights, vector_from_json, weights_of)
@@ -309,9 +309,12 @@ def _cmd_project_sl(args) -> dict:
     if args.eta is None:
         raise UsageError("--eta is required")
     raw = _maybe_file(args.eta)
+    if not isinstance(raw, list):
+        raise ValueError(f"--eta must be a list of rationals, got {raw!r}")
     try:
-        eta = tuple(Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12)
-                    for x in raw)
+        eta = tuple(Fraction(x).limit_denominator(10**12) if isinstance(x, float)
+                    else _parse_rational(x, f"--eta entry {k}")
+                    for k, x in enumerate(raw))
     except OverflowError as exc:  # Fraction(inf); Fraction(nan) raises ValueError
         raise ValueError(str(exc)) from exc
     out = hesselink.project_to_sl(eta)

@@ -13,18 +13,20 @@ is what ``coupled_group_flow`` adds: its v block is the raw flow.
 All integrations run through one driver, ``_integrate``, which alone decides
 which states are sampled and when a run stops; each flow supplies only its
 entry checks, its right-hand side and the mapping from raw states to result
-objects.  The driver takes Dormand-Prince 5(4) steps (Dormand & Prince, "A
-family of embedded Runge-Kutta formulae"; Hairer-Norsett-Wanner, *Solving
-ODEs I*, II.4-5): a step is accepted when the difference of its embedded
-fifth- and fourth-order solutions is at most 1e-10 per unit of block scale,
-the fifth-order state is the one kept, and every attempt rescales the step
-by clip(0.9 err^(-1/5), 0.2, 5) with err that difference over the target.
-The last stage of a step is f at the new state ("first same as last"), so it
-is the next step's first stage and an attempted step costs 6 right-hand-side
-evaluations; the flows read their stopping data off that stage rather than
-evaluate again.  Inputs are validated once, in ``_entry``; right-hand sides
-run the unchecked kernels on plain arrays, and take rho(h) vbar and its
-moment map from one kernel, ``_orbit``.
+objects.  The driver takes Dormand-Prince 8(5,3) steps, the DOP853 method
+(Dormand & Prince, "A family of embedded Runge-Kutta formulae"; Hairer-
+Norsett-Wanner, *Solving ODEs I*, II.5): the eighth-order state is the one
+kept, and a step is accepted when Hairer's combined estimate
+|e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), from the embedded fifth- and
+third-order error vectors, is at most 1e-10 per unit of block scale; every
+attempt rescales the step by clip(0.9 err^(-1/8), 0.2, 5) with err that
+estimate over the target.  The last stage of a step is f at the new state
+("first same as last"), so it is the next step's first stage and an
+attempted step costs 12 right-hand-side evaluations; the flows read their
+stopping data off that stage rather than evaluate again.  Inputs are
+validated once, in ``_entry``; right-hand sides run the unchecked kernels on
+plain arrays, and take rho(h) vbar and its moment map from one kernel,
+``_orbit``.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ __all__ = [
 
 LOCAL_ERROR_TOL = 1e-10
 STEP_UNDERFLOW = 1e-14
-# Dormand-Prince 5(4) is stable on the negative real axis down to about
-# -3.3, where a decaying mode is no longer damped (|R(z)| -> 1): near a
-# stable limit the error control then keeps dt there and the state hovers
-# at the local error target instead of converging.  Every run keeps
-# dt * rho at most this, where |R(-2)| is about 0.17 (Hairer-Wanner,
+# DOP853 is stable on the negative real axis down to about -6.39, where a
+# decaying mode is no longer damped (|R(z)| -> 1): near a stable limit the
+# error control then keeps dt there and the state hovers at the local error
+# target instead of converging.  Every run keeps dt * rho at most this, where
+# |R(-2)| is about 0.135 (0.173 for Dormand-Prince 5(4); Hairer-Wanner,
 # *Solving ODEs II*, IV.2).
 STABILITY_CAP = 2.0
 # the first attempted step; the controller rescales every later attempt by a
@@ -133,50 +135,79 @@ class EquivalenceReport:
     tol: float = 1e-6
 
 
-# Dormand-Prince 5(4).  The flows are autonomous, so the nodes c_i are not
-# needed.  Row i of _DP_A builds the argument of stage i + 2 from stages
-# 1..i + 1; the last row is the fifth-order solution, so the seventh stage
-# is f at the new state.  _DP_E is the fifth- minus the fourth-order weights.
-_DP_A = tuple(np.array(row) for row in (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 8(5,3), the DOP853 method (Hairer-Norsett-Wanner, *Solving
+# ODEs I*, II.5).  The flows are autonomous, so the nodes c_i (the row sums)
+# are not needed; c_12 = 1.  Row i of _DOP_A builds the argument of stage
+# i + 2 from stages 1..i + 1; the last row is the eighth-order solution, so
+# the thirteenth stage is f at the new state.  The rows of _DOP_E are the
+# weights of the fifth- and third-order error estimates.
+_DOP_A = tuple(np.array(row) for row in (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
 ))
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DOP_E = np.array([
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294, 0.0],
+    [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+     0.02265179219836082, 0.0],
+])
 
 
-def _dp5_step(f, y, dy, dt):
-    """One Dormand-Prince step of size dt from y, with dy = f(y).  Returns
-    the fifth-order state, f at that state, the embedded error vector and
-    rho, an estimate of the largest |eigenvalue| of f's Jacobian."""
-    stages = np.empty((7, y.size))
+def _dop853_step(f, y, dy, dt):
+    """One DOP853 step of size dt from y, with dy = f(y).  Returns the
+    eighth-order state, f at that state, the rows (fifth-, third-order) of
+    the embedded error vectors and rho, an estimate of the largest
+    |eigenvalue| of f's Jacobian."""
+    stages = np.empty((13, y.size))
     stages[0] = dy
     z = y
-    for i, row in enumerate(_DP_A, start=1):
+    for i, row in enumerate(_DOP_A, start=1):
         before, z = z, y + dt * (row @ stages[:i])
         stages[i] = f(z)
-    # stages 6 and 7 are both at the step's end, so their difference
+    # stages 12 and 13 are both at the step's end, so their difference
     # quotient is the stiffness estimate of Hairer-Wanner, *Solving ODEs II*,
     # IV.2; 0 when the two points coincide
     gap = np.linalg.norm(z - before)
-    rho = float(np.linalg.norm(stages[6] - stages[5]) / gap) if gap > 0.0 else 0.0
-    return z, stages[6], dt * (_DP_E @ stages), rho
+    rho = float(np.linalg.norm(stages[12] - stages[11]) / gap) if gap > 0.0 else 0.0
+    return z, stages[12], dt * (_DOP_E @ stages), rho
 
 
 def _block_error(err, y, blocks):
-    """The largest norm of ``err`` over the blocks, each relative to
-    max(1, |y|) on that block; NaN if any is NaN."""
-    return float(np.max([np.linalg.norm(err[sl]) / max(1.0, float(np.linalg.norm(y[sl])))
-                         for sl in blocks]))
+    """Hairer's combined estimate |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) from the
+    rows (e5, e3) of ``err``, on each block relative to max(1, |y|) there;
+    the largest over the blocks, NaN if any is NaN."""
+    worst = []
+    for sl in blocks:
+        e5, e3 = np.linalg.norm(err[:, sl], axis=1) / max(1.0, float(np.linalg.norm(y[sl])))
+        worst.append(e5 * e5 / np.hypot(e5, 0.1 * e3) if e5 else 0.0)
+    return float(np.max(worst))
 
 
 def _step_factor(ratio):
-    """clip(0.9 ratio^(-1/5), 0.2, 5) for an error ``ratio`` of the target;
+    """clip(0.9 ratio^(-1/8), 0.2, 5) for an error ``ratio`` of the target;
     a NaN ratio gives 0.2."""
-    return 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+    return 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.125))
 
 
 def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=None,
@@ -209,8 +240,8 @@ def _integrate(f, y0, params: FlowParams, blocks, on_state=None, postprocess=Non
     horizon = params.t_max * (1.0 - 1e-12)
     while t < horizon and steps < params.max_steps:
         dt = min(dt, params.t_max - t)
-        y_new, dy_new, err, rho = _dp5_step(f, y, dy, dt)
-        counts["evaluations"] += 6
+        y_new, dy_new, err, rho = _dop853_step(f, y, dy, dt)
+        counts["evaluations"] += 12
         ratio = _block_error(err, y, blocks) / LOCAL_ERROR_TOL
         taken = dt
         dt *= _step_factor(ratio)

@@ -285,12 +285,18 @@ def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_rational(x) -> Fraction:
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+def _parse_rational(x, where: str) -> Fraction:
+    """x as an exact rational: a 'p/q' string, an integer or a [p, q] pair of
+    integers; ``where`` names x in the ValueError raised otherwise."""
     if isinstance(x, float):
         raise ValueError(f"labels are exact; refusing float {x!r}")
-    return Fraction(x)
+    try:
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{where} is not a rational ('p/q', an integer or [p, q]): "
+                         f"{x!r}") from None
 
 
 def label_to_json(label: HesselinkLabel | None) -> dict:
@@ -313,8 +319,11 @@ def label_from_json(doc) -> HesselinkLabel | None:
         raise ValueError("a label document must be a JSON object")
     if doc.get("semistable"):
         return None
-    eta = tuple(_parse_rational(x) for x in doc["eta"])
-    label = HesselinkLabel.from_eta(eta)
-    if "q" in doc and _parse_rational(doc["q"]) != label.q:
+    eta = doc.get("eta")
+    if not isinstance(eta, (list, tuple)):
+        raise ValueError(f"a label document's eta must be a list of rationals, got {eta!r}")
+    label = HesselinkLabel.from_eta(tuple(_parse_rational(x, f"label eta entry {k}")
+                                          for k, x in enumerate(eta)))
+    if "q" in doc and _parse_rational(doc["q"], "label q") != label.q:
         raise ValueError("inconsistent label document: q != <eta, eta>")
     return label

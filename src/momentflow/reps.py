@@ -164,7 +164,22 @@ def brackets(n: int) -> RepSpec:
 
 
 def torus_weights(weights) -> RepSpec:
-    weights = tuple(tuple(int(x) for x in w) for w in weights)
+    """The torus module with one coordinate per integer weight vector.
+    Raises ValueError naming the first entry that is not one."""
+    try:
+        rows = list(weights)
+    except TypeError:
+        raise ValueError(f"a weight list must be a list of integer vectors, "
+                         f"got {weights!r}") from None
+    for k, w in enumerate(rows):
+        try:
+            rows[k] = tuple(int(x) for x in w)
+            ok = rows[k] == tuple(w)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"weight list entry {k} is not a list of integers: {w!r}")
+    weights = tuple(rows)
     if not weights:
         raise ValueError("empty weight list")
     return RepSpec(TORUS_WEIGHTS, len(weights[0]), weights)

@@ -573,3 +573,28 @@ def test_malformed_documents_exit_1_with_one_error_line(capsys, argv):
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_STRATUM + ['{"eta":[null,1]}'], "label eta entry 0 is not a rational"),
+    (_STRATUM + ['{"eta":[1,"1/0"]}'], "label eta entry 1 is not a rational"),
+    (_STRATUM + ['{"eta":[1,[1,0]]}'], "label eta entry 1 is not a rational"),
+    (_STRATUM + ['{"eta":[1,-1],"q":"x"}'], "label q is not a rational"),
+    (_STRATUM + ['{"eta":5}'], "a label document's eta must be a list of rationals"),
+    (["project-sl", "--eta", "[[1]]"], "--eta entry 0 is not a rational"),
+    (["project-sl", "--eta", "5"], "--eta must be a list of rationals"),
+    (["project-sl", "--eta", '[0,"1/0"]'], "--eta entry 1 is not a rational"),
+    (["rep-info", "--weights", "5"], "a weight list must be a list of integer vectors"),
+    (["rep-info", "--weights", "[[1,0],5]"], "weight list entry 1 is not a list of integers"),
+    (["rep-info", "--weights", "[[1,0],[0.5,1]]"],
+     "weight list entry 1 is not a list of integers"),
+], ids=["label-null", "label-1/0", "label-pair-1/0", "label-q", "label-eta-scalar",
+        "eta-nested", "eta-scalar", "eta-1/0", "weights-scalar", "weights-entry",
+        "weights-fraction"])
+def test_malformed_documents_name_the_document_and_entry(capsys, argv, message):
+    # these used to print Python's own messages, e.g. "'int' object is not
+    # iterable" or "Fraction(1, 0)"
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert out.err.startswith(f"error: {message}")

@@ -271,10 +271,10 @@ def test_trajectory_csv_shape():
     assert abs(float(first[3]) - 0.6) <= 1e-15
 
 
-def test_attempted_step_costs_six_evaluations(monkeypatch):
+def test_attempted_step_costs_twelve_evaluations(monkeypatch):
     # y' = -y from a first step far too large for the error target, so the
     # count covers rejected as well as accepted steps; the one evaluation
-    # beyond six per attempt is f(y0), the first step's first stage
+    # beyond twelve per attempt is f(y0), the first step's first stage
     from momentflow import flows
     attempts = {"n": 0}
     block_error = flows._block_error
@@ -295,7 +295,7 @@ def test_attempted_step_costs_six_evaluations(monkeypatch):
                                               [slice(None)], lambda t, y, dy: None)
     assert status == "t_max" and abs(y[0] - np.exp(-2.0)) <= 1e-9
     assert attempts["n"] > steps > 0
-    assert evals["n"] == 6 * attempts["n"] + 1
+    assert evals["n"] == 12 * attempts["n"] + 1
 
 
 def test_driver_owns_sampling_and_stopping(monkeypatch):
@@ -494,7 +494,8 @@ def test_trajectories_match_scipy_dop853(rng, spec):
 
 def test_right_hand_side_evaluations_at_most_half_of_step_doubling(monkeypatch, rng):
     # work counters, not wall time: the step-doubling RK4 driver that the
-    # Dormand-Prince driver replaced took 5,181 and 10,615 evaluations here
+    # Dormand-Prince drivers replaced took 5,181 and 10,615 evaluations here,
+    # and the Dormand-Prince 5(4) driver 1,321 and 541
     from momentflow import flows
     evals = {"n": 0}
     integrate = flows._integrate
@@ -583,9 +584,60 @@ def test_critical_input_takes_no_steps():
         assert res.residual_trace[0][1] <= 1e-15
 
 
+def _dop853_tableau():
+    """(A, b, E5, E3) of the driver as dense arrays: A is 12 x 12."""
+    from momentflow import flows
+    a = np.zeros((12, 12))
+    for i, row in enumerate(flows._DOP_A[:-1], start=1):
+        a[i, :i] = row
+    return a, flows._DOP_A[-1], flows._DOP_E[0], flows._DOP_E[1]
+
+
+def test_dop853_tableau_order_conditions():
+    a, b, e5, e3 = _dop853_tableau()
+    c = a.sum(axis=1)
+    # the quadrature conditions of order 8
+    for k in range(8):
+        assert abs(b @ c ** k - 1.0 / (k + 1)) <= 1e-15
+    assert abs(c[11] - 1.0) <= 1e-15
+    # both error estimates are differences of consistent weights
+    assert abs(e5.sum()) <= 1e-15 and abs(e3.sum()) <= 1e-15
+
+
+def test_dop853_tableau_is_scipys_bit_for_bit():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    a, b, e5, e3 = _dop853_tableau()
+    assert np.array_equal(a, ref.A[:12, :12]) and np.array_equal(b, ref.B)
+    assert np.array_equal(e5, ref.E5) and np.array_equal(e3, ref.E3)
+    # the row sums of A are the nodes
+    assert np.abs(a.sum(axis=1) - ref.C[:12]).max() <= 1e-15
+
+
+def test_equivalence_evaluations_at_most_half_of_dormand_prince_5(monkeypatch, rng):
+    # work counters, not wall time: the Dormand-Prince 5(4) driver took
+    # 1,321 evaluations here
+    from momentflow import flows
+    evals = {"n": 0}
+    integrate = flows._integrate
+
+    def counting_integrate(f, *args, **kwargs):
+        def counted(y):
+            evals["n"] += 1
+            return f(y)
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "_integrate", counting_integrate)
+    vbar = adjoint_from_matrix(_e(3, 0, 1) + _e(3, 1, 2))
+    rep = verify_flow_equivalence(build_context(3, "GL"), vbar.spec, vbar,
+                                  random_well_conditioned(rng, 3), 5.0)
+    assert rep.passed and evals["n"] <= 1_321 // 2
+
+
 def test_direction_flow_work_counters(monkeypatch):
     # counters, not wall time: integrating v' = -pi(m(v)) v and renormalizing
-    # took 2,797 evaluations on chain(6) and 757 accepted steps on chain(7)
+    # took 2,797 evaluations on chain(6) and 757 accepted steps on chain(7),
+    # and the sphere flow under Dormand-Prince 5(4) 541 evaluations and 101
+    # accepted steps
     from momentflow.momentmap import RepAction
     gradients = {"n": 0}
 
@@ -603,7 +655,7 @@ def test_direction_flow_work_counters(monkeypatch):
         gradients["n"] = 0
         res = gradient_flow(ctx, mu.spec, mu)
         assert res.converged
-        assert res.evaluations == gradients["n"] == 1 + 6 * (res.steps + res.rejected)
+        assert res.evaluations == gradients["n"] == 1 + 12 * (res.steps + res.rejected)
         assert max_evaluations is None or res.evaluations <= max_evaluations
         assert max_steps is None or res.steps <= max_steps
 
@@ -699,11 +751,11 @@ def test_coupled_flow_at_extreme_scales_is_the_scaled_unit_run(scale):
 
 
 def test_metric_flow_positivity_loss_is_a_flow_error():
-    # S0 = 1e-20 diag(1, 2, 0.5) turns indefinite inside a step's stages,
+    # S0 = 1e-20 diag(2, 1, 0.5) turns indefinite inside a step's stages,
     # where the root of S is taken, not at an accepted state
     ctx = build_context(3, "GL")
     vbar = adjoint_from_matrix(_e(3, 0, 1) + 2.0 * _e(3, 1, 2))
-    s0 = SpdMetric(1e-20 * np.diag([1.0, 2.0, 0.5]))
+    s0 = SpdMetric(1e-20 * np.diag([2.0, 1.0, 0.5]))
     with pytest.raises(FlowError, match="metric lost positivity"):
         metric_flow(ctx, adjoint(3), vbar, s0, FlowParams(t_max=5.0))
 
