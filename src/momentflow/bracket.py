@@ -165,17 +165,16 @@ class CriticalBracketReport:
 
 
 def critical_bracket_check(ctx: CartanContext, mu: RepVector,
-                           residual_tol: float = CRITICAL_RESIDUAL,
-                           derivation_tol: float = DERIVATION_TOL) -> CriticalBracketReport:
+                           residual_tol: float = CRITICAL_RESIDUAL) -> CriticalBracketReport:
     """Check the derivation property of beta_plus at a critical bracket.
 
     The bracket must already be a critical direction (criticality residual
-    at most ``residual_tol``); flow it there first otherwise.  The default
-    ``CRITICAL_RESIDUAL`` is the bound at which the derivation verdict at
-    ``DERIVATION_TOL`` is reached.  Both tolerances must be positive.
+    at most ``residual_tol`` > 0); flow it there first otherwise.  The verdict
+    ``is_derivation`` is judged at ``DERIVATION_TOL``, and the default
+    ``CRITICAL_RESIDUAL`` is the bound at which it is reached.
     """
-    if not (residual_tol > 0 and derivation_tol > 0):
-        raise ValueError("residual_tol and derivation_tol must be positive")
+    if not residual_tol > 0:
+        raise ValueError("residual_tol must be positive")
     brackets_tensor(mu)  # rejects a vector of another family
     v = mu.normalized()
     res = criticality_residual(ctx, v.spec, v)
@@ -189,7 +188,7 @@ def critical_bracket_check(ctx: CartanContext, mu: RepVector,
     return CriticalBracketReport(
         beta=beta,
         beta_plus=beta_plus,
-        is_derivation=bool(rep.derivation_residual <= derivation_tol),
+        is_derivation=bool(rep.derivation_residual <= DERIVATION_TOL),
         derivation_residual=rep.derivation_residual,
         positive=rep.all_positive,
         eigenvalues=rep.eigenvalues,

@@ -199,16 +199,16 @@ def _spd_root(s: np.ndarray) -> np.ndarray:
     return _spd_root_and_inverse(s)[0]
 
 
-def parabolic_lie_algebra(ctx: CartanContext, beta, tol: float = AD_GRADING_TOL) -> np.ndarray:
+def parabolic_lie_algebra(ctx: CartanContext, beta) -> np.ndarray:
     """Basis of the non-negative eigenspace sum of ad(beta).
 
     For symmetric beta with eigenpairs (lambda_i, q_i) the matrices
     q_i q_j^T are an orthonormal eigenbasis of ad(beta) with eigenvalues
     lambda_i - lambda_j; the returned stack collects those with
-    lambda_i - lambda_j >= -tol.  For an SL context the n matrices with
-    i = j are replaced by n - 1 trace-zero diagonal combinations, so the
-    basis spans a subalgebra of sl_n (dimension one less than the pair
-    count).
+    lambda_i - lambda_j >= -AD_GRADING_TOL.  For an SL context the n
+    matrices with i = j are replaced by n - 1 trace-zero diagonal
+    combinations, so the basis spans a subalgebra of sl_n (dimension one
+    less than the pair count).
 
     Returns an array of shape (k, n, n).
     """
@@ -230,7 +230,7 @@ def parabolic_lie_algebra(ctx: CartanContext, beta, tol: float = AD_GRADING_TOL)
             out.append((q * row) @ q.T)
     for i in range(n):
         for j in range(n):
-            if i != j and lam[i] - lam[j] >= -tol:
+            if i != j and lam[i] - lam[j] >= -AD_GRADING_TOL:
                 out.append(np.outer(q[:, i], q[:, j]))
     return np.stack(out)
 

@@ -20,8 +20,8 @@ import numpy as np
 from . import bracket as bracketmod
 from . import hesselink, jordan
 from .cartan import build_context
-from .flows import (FlowError, FlowParams, flow_trajectory_csv, gradient_flow,
-                    verify_flow_equivalence)
+from .flows import (EQUIVALENCE_TOL, FlowError, FlowParams, flow_trajectory_csv,
+                    gradient_flow, verify_flow_equivalence)
 from .hesselink import _fraction_str, _parse_rational
 from .momentmap import closed_form_moment, criticality_residual, moment
 from .reps import (TORUS_WEIGHTS, RepSpec, canonical_family, rep_vector,
@@ -200,8 +200,8 @@ def _cmd_verify_flows(args) -> dict:
         h0 = _random_well_conditioned(n, settings.get("seed", 0),
                                       vbar.spec.family == TORUS_WEIGHTS)
     params = _flow_params(settings)
-    tol = {"tol": settings["match_tol"]} if "match_tol" in settings else {}
-    report = verify_flow_equivalence(ctx, vbar.spec, vbar, h0, params.t_max, params, **tol)
+    report = verify_flow_equivalence(ctx, vbar.spec, vbar, h0, params.t_max, params,
+                                     settings.get("match_tol", EQUIVALENCE_TOL))
     return {
         "h0": _matrix(h0),
         "t_max": params.t_max,
@@ -339,7 +339,8 @@ _FLAGS = {
     "--seed": {"type": int},
     "--format": {"choices": ("json", "csv"), "default": "csv"},
     "--h0": {"help": "initial group element, inline JSON or @file (default: seeded random)"},
-    "--cap": {"type": int, "default": 20, "help": "maximum distinct weight count"},
+    "--cap": {"type": int, "default": hesselink.MAX_WEIGHT_COUNT,
+              "help": "maximum distinct weight count"},
     "--label": {"help": "label JSON (inline, @file, or '-' for stdin)"},
     "--partition": {"help": "comma-separated block sizes, e.g. 3,2"},
     "--preset": {"choices": ("heisenberg", "chain"), "default": "heisenberg"},

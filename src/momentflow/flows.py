@@ -66,13 +66,14 @@ STABILITY_CAP = 2.0
 # the first attempted step; the controller rescales every later attempt by a
 # factor in [0.2, 5] from the error estimate, so no caller needs to set it
 FIRST_STEP = 1e-2
+EQUIVALENCE_TOL = 1e-6
 
 
 class FlowError(RuntimeError):
     """Raised when an integration cannot continue (e.g. positivity loss)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowParams:
     """Integration controls shared by all flows."""
 
@@ -132,7 +133,7 @@ class EquivalenceReport:
     max_dev_v: float
     max_dev_S: float
     passed: bool
-    tol: float = 1e-6
+    tol: float
 
 
 # Dormand-Prince 8(5,3), the DOP853 method (Hairer-Norsett-Wanner, *Solving
@@ -281,7 +282,7 @@ def _entry(spec: RepSpec, v: RepVector, g=None):
 
 
 def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
-                  params: FlowParams | None = None) -> FlowResult:
+                  params: FlowParams = FlowParams()) -> FlowResult:
     """Integrate the direction of v' = -pi(m(v)) v.
 
     The state is u = v / |v|, integrated as u' = -(pi(m(u)) u - F(u) u) and
@@ -289,8 +290,6 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
     samples are unit vectors.  The run converges when the criticality
     residual drops below ``params.residual_tol``.
     """
-    if params is None:
-        params = FlowParams()
     act = rep_action(ctx, spec)
     coords = _entry(spec, v0)[0]
     nrm = np.linalg.norm(coords)
@@ -335,7 +334,7 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
 
 
 def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
-                       params: FlowParams | None = None) -> CoupledFlowResult:
+                       params: FlowParams = FlowParams()) -> CoupledFlowResult:
     """Co-integrate the raw gradient flow of v = rho(h0) vbar together with
     the group element h' = -m(v(t)) h, h(0) = h0.
 
@@ -344,8 +343,6 @@ def coupled_group_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector, h0,
     A vbar of extreme scale is integrated rescaled by a power of two, and its
     v samples scaled back.
     """
-    if params is None:
-        params = FlowParams()
     act = rep_action(ctx, spec)
     n = ctx.n
     h0 = np.asarray(h0, dtype=float)
@@ -394,7 +391,7 @@ def _metric_velocity(ctx, act, vbar, y):
 
 
 def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
-                s0: SpdMetric, params: FlowParams | None = None) -> list:
+                s0: SpdMetric, params: FlowParams = FlowParams()) -> list:
     """Integrate the metric flow on positive-definite matrices.
 
     The coset representative is always the SPD square root, which makes the
@@ -404,8 +401,6 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     Positivity is checked in every right-hand side evaluation; losing it
     aborts with a FlowError.
     """
-    if params is None:
-        params = FlowParams()
     n = ctx.n
     # checks the condition of sqrt(S0) and, on a torus, its diagonal
     coords = _entry(spec, vbar, _spd_root(_sym(s0.S, n)))[0]
@@ -421,8 +416,8 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
 
 def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
                             h0, t_horizon: float,
-                            params: FlowParams | None = None,
-                            tol: float = 1e-6) -> EquivalenceReport:
+                            params: FlowParams = FlowParams(),
+                            tol: float = EQUIVALENCE_TOL) -> EquivalenceReport:
     """Run the three flows side by side from matched initial data.
 
     Each block integrates its own self-contained equation -- the vector flow
@@ -436,8 +431,6 @@ def verify_flow_equivalence(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if params is None:
-        params = FlowParams()
     params = replace(params, t_max=float(t_horizon))
     act = rep_action(ctx, spec)
     n = ctx.n

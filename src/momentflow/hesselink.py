@@ -19,8 +19,7 @@ import numpy as np
 from .cartan import CartanContext, weyl_normalize
 from .minnorm import (RationalVector, _dot, _feasible_affine_minimizers, min_norm_point,
                       to_rational_vector)
-from .momentmap import MomentValue
-from .reps import RepSpec, RepVector, _weight_spaces, rep_vector, weight_components
+from .reps import RepSpec, RepVector, _integers, _weight_spaces, rep_vector, weight_components
 
 __all__ = [
     "MINUS_INFINITY",
@@ -77,10 +76,14 @@ class _MinusInfinity:
 
 MINUS_INFINITY = _MinusInfinity()
 
+LABEL_MATCH_TOL = 1e-5  # of a flow limit spectrum to its exact label, per entry
+MAX_WEIGHT_COUNT = 20
 
-def state_of(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12) -> list[tuple[int, ...]]:
-    """Weights whose components of v are nonzero, lexicographically sorted."""
-    return list(weight_components(spec, v, zero_tol))
+
+def state_of(spec: RepSpec, v: RepVector) -> list[tuple[int, ...]]:
+    """Weights whose components of v are nonzero (cut at ``reps.ZERO_TOL``),
+    lexicographically sorted."""
+    return list(weight_components(spec, v))
 
 
 def instability_measure(state, eta):
@@ -125,11 +128,10 @@ class HesselinkLabel:
                    beta=beta)
 
 
-def optimal_class(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12
-                  ) -> HesselinkLabel | None:
+def optimal_class(spec: RepSpec, v: RepVector) -> HesselinkLabel | None:
     """Label of the stratum through v, or None when v is torus-semistable
     (zero lies in the convex hull of its state)."""
-    cert = min_norm_point(state_of(spec, v, zero_tol))
+    cert = min_norm_point(state_of(spec, v))
     if cert.is_zero:
         return None
     return HesselinkLabel.from_eta(cert.eta)
@@ -144,7 +146,8 @@ class LabelEnumeration:
     zero_label: bool
 
 
-def enumerate_labels(spec: RepSpec, max_weight_count: int = 20) -> LabelEnumeration:
+def enumerate_labels(spec: RepSpec, max_weight_count: int = MAX_WEIGHT_COUNT
+                     ) -> LabelEnumeration:
     """Minimum-norm points of all non-empty subsets of the weight set,
     deduplicated after Weyl normalization.
 
@@ -177,7 +180,7 @@ class StratumReport:
     the rest.  ``in_U_ge0`` adds the semistability of v0 for the hyperplane
     torus orthogonal to eta (tested as: zero lies in the hull of the r = 0
     state weights projected onto that hyperplane).  The grading, v0 and
-    ``in_U_ge0`` all read the one state of v cut at ``zero_tol * ||v||``.
+    ``in_U_ge0`` all read the one state of v cut at ``reps.ZERO_TOL * ||v||``.
     """
 
     beta: np.ndarray
@@ -188,8 +191,7 @@ class StratumReport:
     in_U_ge0: bool
 
 
-def stratum_membership(spec: RepSpec, v: RepVector, label: HesselinkLabel,
-                       zero_tol: float = 1e-12) -> StratumReport:
+def stratum_membership(spec: RepSpec, v: RepVector, label: HesselinkLabel) -> StratumReport:
     """Grade the state of v by the label and test the stratum conditions.
 
     The label's eta is used verbatim (membership is relative to a concrete
@@ -200,7 +202,7 @@ def stratum_membership(spec: RepSpec, v: RepVector, label: HesselinkLabel,
     if len(label.eta) != spec.n:
         raise ValueError(f"label has {len(label.eta)} entries, expected {spec.n}")
     eta, q = label.eta, label.q
-    components = weight_components(spec, v, zero_tol)
+    components = weight_components(spec, v)
     grading = {chi: _dot(chi, eta) - q for chi in components}
     in_v = all(r >= 0 for r in grading.values())
     level = [chi for chi, r in grading.items() if r == 0]
@@ -230,30 +232,27 @@ class KnFlowReport:
     flow: "object"
 
 
-def kn_label_via_flow(ctx: CartanContext, spec: RepSpec, v: RepVector,
-                      params=None, match_tol: float = 1e-5) -> KnFlowReport:
-    """Flow v to a critical direction and compare the limit moment spectrum
-    with the Weyl-normalized label coordinates.
+def kn_label_via_flow(ctx: CartanContext, spec: RepSpec, v: RepVector) -> KnFlowReport:
+    """Flow v to a critical direction with the default ``FlowParams`` and
+    compare the limit moment spectrum with the Weyl-normalized label
+    coordinates; they match when the flow converged and no entry deviates
+    by more than ``LABEL_MATCH_TOL``.
 
     The caller is responsible for choosing v so the diagonal torus is
     optimal (Jordan representatives and single-weight vectors qualify);
     otherwise the two sides are allowed to disagree.
     """
-    from .flows import FlowParams, gradient_flow
+    from .flows import gradient_flow
 
-    if not match_tol > 0:
-        raise ValueError("match_tol must be positive")
     label = optimal_class(spec, v)
     if label is None:
         raise ValueError("v is torus-semistable; the flow comparison needs an unstable vector")
-    if params is None:
-        params = FlowParams()
-    result = gradient_flow(ctx, spec, v, params)
+    result = gradient_flow(ctx, spec, v)
     spectrum = result.limit_moment.spectrum
     expected = np.array([float(x) for x in label.eta])
     dev = float(np.max(np.abs(spectrum - expected)))
     return KnFlowReport(spectrum=spectrum, hesselink=label,
-                        match=bool(result.converged and dev <= match_tol),
+                        match=bool(result.converged and dev <= LABEL_MATCH_TOL),
                         max_deviation=dev, flow=result)
 
 
@@ -270,7 +269,8 @@ def project_to_sl(eta) -> RationalVector:
 def cochar_gram_check(lams) -> list[list[int]]:
     """Gram matrix of integer cocharacter vectors under the trace form;
     entries are exact Python ints."""
-    rows = [tuple(int(x) for x in lam) for lam in lams]
+    rows = [_integers(lam, f"cocharacter {k} is not a list of integers: {lam!r}")
+            for k, lam in enumerate(lams)]
     for r in rows:
         if len(r) != len(rows[0]):
             raise ValueError("vectors of mixed dimensions")
@@ -286,17 +286,18 @@ def _fraction_str(x: Fraction) -> str:
 
 
 def _parse_rational(x, where: str) -> Fraction:
-    """x as an exact rational: a 'p/q' string, an integer or a [p, q] pair of
-    integers; ``where`` names x in the ValueError raised otherwise."""
+    """x as an exact rational: a 'p/q' string, a Fraction, an integer or a
+    [p, q] pair of integers, integral floats or integer strings, never a bool;
+    ``where`` names x in the ValueError raised otherwise."""
     if isinstance(x, float):
         raise ValueError(f"labels are exact; refusing float {x!r}")
+    error = f"{where} is not a rational ('p/q', an integer or [p, q]): {x!r}"
     try:
         if isinstance(x, (list, tuple)) and len(x) == 2:
-            return Fraction(int(x[0]), int(x[1]))
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"{where} is not a rational ('p/q', an integer or [p, q]): "
-                         f"{x!r}") from None
+            return Fraction(*_integers((int(e) if isinstance(e, str) else e for e in x), error))
+        return Fraction(x if isinstance(x, (str, Fraction)) else _integers((x,), error)[0])
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(error) from None
 
 
 def label_to_json(label: HesselinkLabel | None) -> dict:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cartan import weyl_normalize
 from .hesselink import HesselinkLabel, optimal_class
-from .reps import RepVector, adjoint_from_matrix
+from .reps import RepVector, _integers, adjoint_from_matrix
 
 __all__ = [
     "Partition",
@@ -35,14 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of n, canonicalized to non-increasing order."""
+    """A partition of n into positive integer parts, in non-increasing order."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(sorted((int(p) for p in self.parts), reverse=True))
+        error = f"partition parts must be positive integers, got {self.parts}"
+        parts = tuple(sorted(_integers(self.parts, error), reverse=True))
         if not parts or parts[-1] < 1:
-            raise ValueError(f"partition parts must be positive, got {self.parts}")
+            raise ValueError(error)
         object.__setattr__(self, "parts", parts)
 
     @property

@@ -27,7 +27,6 @@ __all__ = [
     "solve_exact",
 ]
 
-Rational = Fraction
 RationalVector = tuple[Fraction, ...]
 
 _MAX_MAJOR_ITERATIONS = 100_000

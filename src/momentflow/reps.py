@@ -69,6 +69,7 @@ _CANON = {f.lower().replace("_", ""): f for f in _FAMILIES}
 SQRT2 = float(np.sqrt(2.0))
 
 COND_WARN_THRESHOLD = 1e12
+ZERO_TOL = 1e-12  # the state cut: weight components of norm <= ZERO_TOL |v| are 0
 
 
 def canonical_family(name: str) -> str:
@@ -106,6 +107,20 @@ def _index(family: str, n: int) -> tuple:
     return (n,) * r, (Ellipsis, *rest), swapped
 
 
+def _integers(xs, error: str) -> tuple[int, ...]:
+    """xs as a tuple of ints, each entry an int, a numpy integer or an
+    integral float, never a bool; raises ValueError(error) for anything else,
+    a non-iterable xs included, so that no value from outside is truncated."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise ValueError(error) from None
+    if not all((isinstance(x, (int, np.integer)) and not isinstance(x, bool))
+               or (isinstance(x, (float, np.floating)) and float(x).is_integer()) for x in xs):
+        raise ValueError(error)
+    return tuple(map(int, xs))
+
+
 @dataclass(frozen=True)
 class RepSpec:
     """A representation family at a fixed matrix size.
@@ -125,7 +140,8 @@ class RepSpec:
         if self.family == TORUS_WEIGHTS:
             if not self.weights:
                 raise ValueError("TorusWeights needs a non-empty weight list")
-            ws = tuple(tuple(int(x) for x in w) for w in self.weights)
+            ws = tuple(_integers(w, f"weight list entry {k} is not a list of integers: {w!r}")
+                       for k, w in enumerate(self.weights))
             for w in ws:
                 if len(w) != self.n:
                     raise ValueError(f"weight {w} has length {len(w)}, expected {self.n}")
@@ -164,25 +180,17 @@ def brackets(n: int) -> RepSpec:
 
 
 def torus_weights(weights) -> RepSpec:
-    """The torus module with one coordinate per integer weight vector.
-    Raises ValueError naming the first entry that is not one."""
+    """The torus module with one coordinate per integer weight vector, of
+    the first vector's length; ``RepSpec`` checks the entries."""
     try:
-        rows = list(weights)
+        rows = tuple(weights)
+        n = len(rows[0])
     except TypeError:
         raise ValueError(f"a weight list must be a list of integer vectors, "
                          f"got {weights!r}") from None
-    for k, w in enumerate(rows):
-        try:
-            rows[k] = tuple(int(x) for x in w)
-            ok = rows[k] == tuple(w)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValueError(f"weight list entry {k} is not a list of integers: {w!r}")
-    weights = tuple(rows)
-    if not weights:
-        raise ValueError("empty weight list")
-    return RepSpec(TORUS_WEIGHTS, len(weights[0]), weights)
+    except IndexError:
+        raise ValueError("empty weight list") from None
+    return RepSpec(TORUS_WEIGHTS, n, rows)
 
 
 def rep_dim(spec: RepSpec) -> int:
@@ -457,23 +465,19 @@ def weights_of(spec: RepSpec) -> list[tuple[int, ...]]:
     return list(map(tuple, _weight_spaces(spec)[0].tolist()))
 
 
-def weight_components(spec: RepSpec, v: RepVector, zero_tol: float = 1e-12
-                      ) -> dict[tuple[int, ...], np.ndarray]:
+def weight_components(spec: RepSpec, v: RepVector) -> dict[tuple[int, ...], np.ndarray]:
     """Nonzero weight components of v.
 
-    Components with norm <= zero_tol * ||v|| are dropped.  Raises ValueError
-    for v = 0 and for a zero_tol outside [0, 1), which would keep a zero
-    component or drop every one.
+    Components with norm <= ``ZERO_TOL`` * ||v|| are dropped.  Raises
+    ValueError for v = 0.
     """
     coords = _checked_in_range(spec, v)[0]
-    if not 0 <= zero_tol < 1:
-        raise ValueError("zero_tol must lie in [0, 1)")
     nrm = np.linalg.norm(coords)
     if nrm == 0.0:
         raise ValueError("zero vector has no state")
     out: dict[tuple[int, ...], np.ndarray] = {}
     for w, idx in _weight_spaces(spec)[1].items():
-        if np.linalg.norm(coords[idx]) > zero_tol * nrm:
+        if np.linalg.norm(coords[idx]) > ZERO_TOL * nrm:
             out[w] = v.coords[idx]
     return out
 

@@ -22,7 +22,9 @@ from momentflow import (FlowParams, adjoint, adjoint_from_matrix, apply_group,
                         jordan_vector, kn_label_via_flow, lambda2, moment,
                         partitions, project_to_sl, rep_vector, standard,
                         verify_flow_equivalence, Partition)
-from momentflow.bracket import bracket_preset
+from momentflow.bracket import DERIVATION_TOL, bracket_preset
+from momentflow.flows import EQUIVALENCE_TOL
+from momentflow.hesselink import LABEL_MATCH_TOL
 from momentflow.minnorm import min_norm_point, min_norm_point_by_enumeration
 
 from conftest import matrix_families, random_orthogonal, random_well_conditioned
@@ -36,6 +38,15 @@ def _criterion(num, name, ok, detail=""):
         line += f"  -- {detail}"
     print(line)
     assert ok, line
+
+
+def test_fixed_bounds_are_the_acceptance_bounds():
+    # the library judges label match, the derivation verdict and, by
+    # default, flow equivalence at these constants (criteria 8, 9 and 5), so
+    # moving one of them means editing this acceptance test
+    assert LABEL_MATCH_TOL == 1e-5
+    assert DERIVATION_TOL == 1e-10
+    assert EQUIVALENCE_TOL == 1e-6
 
 
 def test_criterion_01_constant_energy_stratum():
@@ -193,12 +204,12 @@ def test_criterion_08_kn_equals_hesselink_via_flow():
             if p.parts[0] == 1:
                 continue
             v = jordan_vector(p)
-            rep = kn_label_via_flow(ctx, v.spec, v, match_tol=1e-5)
+            rep = kn_label_via_flow(ctx, v.spec, v)
             ok = ok and rep.match
             worst = max(worst, rep.max_deviation)
     ctx3 = build_context(3, "GL")
     mu = bracket_preset("heisenberg", 3)
-    rep = kn_label_via_flow(ctx3, brackets(3), mu, match_tol=1e-5)
+    rep = kn_label_via_flow(ctx3, brackets(3), mu)
     ok = ok and rep.match
     worst = max(worst, rep.max_deviation)
     elapsed = time.perf_counter() - start

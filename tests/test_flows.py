@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +147,12 @@ def test_flow_params_validation():
         with pytest.raises(ValueError):
             FlowParams(**bad)
     assert FlowParams(t_max=inf).t_max == inf
+
+
+def test_flow_params_are_frozen():
+    # one FlowParams() instance is the default argument of every flow
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        FlowParams().t_max = 1.0
 
 
 def test_zero_vector_rejected():
