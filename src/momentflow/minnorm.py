@@ -9,6 +9,10 @@ Two independent routes are provided:
 * :func:`min_norm_point_by_enumeration` -- brute force that visits only the
   affinely independent subsets, kept as the oracle the solver is tested
   against; ``hesselink.enumerate_labels`` lists labels with the same walk.
+  The walk solves each subset by fraction-free elimination over the
+  integers (the points scaled by the LCM of their denominators), while
+  Wolfe's minor cycle solves in Fractions (:func:`solve_exact`), so the two
+  routes share no arithmetic and check one against the other.
 
 The KKT characterization used throughout: eta is the minimum-norm point of
 conv(P) iff eta lies in the hull and <p, eta> >= <eta, eta> for every p in P.
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 __all__ = [
     "MinNormCertificate",
@@ -188,21 +194,72 @@ def min_norm_point(weights) -> MinNormCertificate:
                               optimality_margin=margin)
 
 
+def _integer_points(pts: list[RationalVector]) -> tuple[list[tuple[int, ...]], int]:
+    """``pts`` times the LCM of their denominators, and that LCM.  Scaling
+    every point by one factor leaves affine dependence and barycentric
+    coefficients unchanged."""
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts], scale
+
+
+def _affine_coefficients(gram: list[list[int]], subset: list[int]
+                         ) -> tuple[list[int], int] | None:
+    """Barycentric coefficients of the affine-hull minimizer of the points
+    that ``subset`` indexes, as numerators over one positive determinant, or
+    None when those points are affinely dependent.
+
+    ``gram`` is the integer Gram matrix of all the points.  The bordered Gram
+    system is solved by fraction-free Gauss-Jordan elimination (Bareiss), the
+    integer twin of :func:`solve_exact`: every division is exact by
+    Sylvester's identity, so nothing leaves the integers, and a column with
+    no nonzero pivot means the system is singular.  The last pivot is the
+    determinant, and it is positive: for independent points p_1, ..., p_k
+    only column 0 swaps rows (the border row's leading zero), after which
+    the j-th pivot is the Gram determinant of p_2 - p_1, ..., p_j - p_1.
+    """
+    k = len(subset)
+    m = [[0] + [1] * k + [1]] + [[1] + [gram[i][j] for j in subset] + [0] for i in subset]
+    prev = 1
+    for col in range(k + 1):
+        # rows keep only the columns not yet eliminated, then the right-hand side
+        piv = next((r for r in range(col, k + 1) if m[r][0]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        p, *pivot_tail = m[col]
+        m = [pivot_tail if r == col else
+             [(p * x - row[0] * y) // prev for x, y in zip(row[1:], pivot_tail)]
+             for r, row in enumerate(m)]
+        prev = p
+    return [row[0] for row in m[1:]], prev
+
+
+def _combination(ints: list[tuple[int, ...]], subset: list[int], numerators: list[int],
+                 denominator: int) -> RationalVector:
+    """sum(numerators[i] * ints[subset[i]]) / denominator, exactly."""
+    return tuple(Fraction(sum(c * ints[j][d] for c, j in zip(numerators, subset)), denominator)
+                 for d in range(len(ints[0])))
+
+
 def _feasible_affine_minimizers(weights):
     """Yield the affine-hull minimizer of every affinely independent subset
     whose barycentric coordinates are all >= 0 (it is then the minimum-norm
     point of the subset's hull).  A dependent subset is not grown further:
-    all its supersets are dependent too."""
+    all its supersets are dependent too.  The solves run over the integers
+    on the scaled points; Fractions are built only for what is yielded."""
     pts = _points(weights)
+    ints, scale = _integer_points(pts)
+    gram = [[sum(map(mul, p, q)) for q in ints] for p in ints]
 
-    def grow(subset: list[RationalVector], start: int):
+    def grow(subset: list[int], start: int):
         for i in range(start, len(pts)):
-            ext = subset + [pts[i]]
-            res = _affine_min_norm(ext)
-            if res is None:
+            ext = subset + [i]
+            sol = _affine_coefficients(gram, ext)
+            if sol is None:
                 continue
-            if all(m >= 0 for m in res[1]):
-                yield res[0]
+            numerators, det = sol
+            if all(c >= 0 for c in numerators):
+                yield _combination(ints, ext, numerators, det * scale)
             yield from grow(ext, i + 1)
 
     yield from grow([], 0)

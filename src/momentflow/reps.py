@@ -501,5 +501,5 @@ def vector_from_json(doc) -> RepVector:
     if family == TORUS_WEIGHTS:
         spec = torus_weights(doc["weights"])
     else:
-        spec = RepSpec(family, int(doc["n"]))
+        spec = RepSpec(family, _integers((doc["n"],), f"n is not an integer: {doc['n']!r}")[0])
     return rep_vector(spec, doc["coords"])

@@ -608,6 +608,10 @@ def test_malformed_documents_name_the_document_and_entry(capsys, argv, message):
                   "--label", '{"eta":[[1.5,1],[-1.5,1]]}'], id="label-pair-float"),
     pytest.param(["project-sl", "--eta", "[true,1]"], id="eta-bool"),
     pytest.param(["project-sl", "--eta", "[[1.9,1],0]"], id="eta-pair-float"),
+    pytest.param(["label", "--vector", '{"family":"standard","n":2.9,"coords":[1,0]}'],
+                 id="vector-n-float"),
+    pytest.param(["label", "--vector", '{"family":"standard","n":true,"coords":[1]}'],
+                 id="vector-n-bool"),
     pytest.param(lambda: RepSpec("TorusWeights", 2, ((1.5, 0), (0, 1))), id="weights-float"),
     pytest.param(lambda: RepSpec("TorusWeights", 2, ((True, 0), (0, 1))), id="weights-bool"),
     pytest.param(lambda: Partition((2.5, 1)), id="partition-float"),

@@ -1,12 +1,14 @@
+import json
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentflow import (MINUS_INFINITY, adjoint, adjoint_from_matrix, apply_group,
+from momentflow import (MINUS_INFINITY, RepSpec, adjoint, adjoint_from_matrix, apply_group,
                         brackets, build_context, cochar_gram_check, dual,
                         enumerate_labels, instability_measure, jordan_label,
                         kn_label_via_flow, label_from_json, label_to_json,
@@ -202,6 +204,20 @@ _torus_modules = st.integers(1, 4).flatmap(
 @given(_torus_modules)
 def test_enumerate_labels_matches_subset_reference_on_torus_modules(weights):
     _assert_matches_subset_reference(torus_weights(weights))
+
+
+_ENUMERATION_GOLDEN = json.loads(
+    (Path(__file__).parent / "enumeration_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(_ENUMERATION_GOLDEN))
+def test_enumerate_labels_golden(case):
+    # enumerations too large for the subset reference above, pinned label
+    # for label in order; recorded when every affine solve was in Fractions
+    family, n = case.split()
+    enum = enumerate_labels(RepSpec(family, int(n)))
+    assert [[str(x) for x in lab.eta] for lab in enum.labels] == _ENUMERATION_GOLDEN[case]["etas"]
+    assert enum.zero_label == _ENUMERATION_GOLDEN[case]["zero_label"]
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -3,8 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentflow.minnorm import (min_norm_point, min_norm_point_by_enumeration,
-                                solve_exact, to_rational_vector)
+from momentflow import adjoint, enumerate_labels, minnorm
+from momentflow.minnorm import (_affine_coefficients, _affine_min_norm, _combination,
+                                _integer_points, min_norm_point,
+                                min_norm_point_by_enumeration, solve_exact,
+                                to_rational_vector)
 
 
 def F(*a):
@@ -101,8 +104,67 @@ def test_certificate_invariants_random(rng):
             assert dot >= cert.q
 
 
+def _rational_points(rng, dim, k):
+    """k rational points in dimension dim, some of them repeats of earlier
+    points or affine combinations of two earlier ones (so dependent)."""
+    pts = []
+    for _ in range(k):
+        kind = rng.integers(0, 10) if pts else 0
+        if kind == 1:
+            pts.append(pts[int(rng.integers(0, len(pts)))])
+        elif kind == 2:
+            a, b = (pts[int(i)] for i in rng.integers(0, len(pts), size=2))
+            t = F(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+            pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+        else:
+            pts.append(tuple(F(int(rng.integers(-4, 5)), int(rng.integers(1, 36)))
+                             for _ in range(dim)))
+    return pts
+
+
+def test_integer_solve_matches_fraction_solve(rng):
+    # the walk's fraction-free integer solve against Wolfe's Fraction solve
+    dependent = 0
+    for _ in range(2000):
+        pts = _rational_points(rng, int(rng.integers(1, 8)), int(rng.integers(1, 9)))
+        ints, scale = _integer_points(pts)
+        gram = [[sum(x * y for x, y in zip(p, q)) for q in ints] for p in ints]
+        subset = list(range(len(pts)))
+        sol = _affine_coefficients(gram, subset)
+        ref = _affine_min_norm(pts)
+        assert (sol is None) == (ref is None)
+        if sol is None:
+            dependent += 1
+            continue
+        numerators, det = sol
+        assert det > 0
+        assert [F(c, det) for c in numerators] == ref[1]
+        assert _combination(ints, subset, numerators, det * scale) == ref[0]
+    assert 500 < dependent < 1500  # both outcomes well covered
+
+
+def test_enumeration_walk_work_is_pinned(monkeypatch):
+    # the subsets the walk solves on adjoint(4): a change to the walk shows
+    # up here as a count
+    counts = {"dependent": 0, "feasible": 0, "infeasible": 0}
+
+    def counted(gram, subset):
+        sol = _affine_coefficients(gram, subset)
+        kind = ("dependent" if sol is None
+                else "feasible" if all(c >= 0 for c in sol[0]) else "infeasible")
+        counts[kind] += 1
+        return sol
+
+    monkeypatch.setattr(minnorm, "_affine_coefficients", counted)
+    enum = enumerate_labels(adjoint(4))
+    assert (len(enum.labels), enum.zero_label) == (10, True)
+    assert counts == {"dependent": 1127, "feasible": 721, "infeasible": 192}
+
+
 def test_oracle_equivalence_random(rng):
-    # exact equality against the affine-subset enumeration
+    # exact equality of Wolfe in Fractions and the enumeration's integer
+    # solves, on integer points and then on rational ones, which is what
+    # stratum_membership hands over (chi - eta)
     for _ in range(150):
         n = int(rng.integers(1, 5))
         k = int(rng.integers(1, 7))
@@ -111,3 +173,7 @@ def test_oracle_equivalence_random(rng):
         eta, q = min_norm_point_by_enumeration(pts)
         assert cert.eta == eta
         assert cert.q == q
+    for _ in range(150):
+        pts = _rational_points(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        cert = min_norm_point(pts)
+        assert (cert.eta, cert.q) == min_norm_point_by_enumeration(pts)
