@@ -7,8 +7,12 @@ the moment map").  As <pi(m(v)) v, v> = F(v) |v|^2, that field also decays
 |v| at rate F, which says nothing about the direction; ``gradient_flow``
 therefore integrates u = v / |v| itself, u' = -(pi(m(u)) u - F(u) u), on the
 unit sphere and in the same time, so its steps grow as u nears a critical
-direction instead of resolving the decay.  The decay |v(t)| = |v0| e^{-int F}
-is what ``coupled_group_flow`` adds: its v block is the raw flow.
+direction instead of resolving the decay.  It integrates only the
+coordinates the flow from v0 can reach (``RepAction.restricted``): a sparse
+input, a Jordan representative or a nice bracket, stays in a few weight
+spaces, and every other coordinate stays exactly 0.  The decay
+|v(t)| = |v0| e^{-int F} is what ``coupled_group_flow`` adds: its v block
+is the raw flow.
 
 All integrations run through one driver, ``_integrate``, which alone decides
 which states are sampled and when a run stops; each flow supplies only its
@@ -119,6 +123,7 @@ class FlowResult:
     steps: int = 0
     rejected: int = 0
     evaluations: int = 0
+    coordinates: int = 0
 
 
 @dataclass
@@ -288,11 +293,16 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
     The state is u = v / |v|, integrated as u' = -(pi(m(u)) u - F(u) u) and
     projected back to the unit sphere after each accepted step, so the
     samples are unit vectors.  The run converges when the criticality
-    residual drops below ``params.residual_tol``.
+    residual drops below ``params.residual_tol``.  Only the coordinates
+    the flow from v0 can reach are integrated (``RepAction.restricted``;
+    the others stay exactly 0), ``coordinates`` on the result counts them,
+    and the samples and the limit are embedded back into every coordinate.
+    A dense v0 is integrated on every coordinate.
     """
-    act = rep_action(ctx, spec)
     coords = _entry(spec, v0)[0]
-    nrm = np.linalg.norm(coords)
+    act = rep_action(ctx, spec).restricted(coords)
+    y0 = coords[act.support]
+    nrm = np.linalg.norm(y0)
     moments = [None]
 
     def f(y):
@@ -318,11 +328,16 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
         nrm = np.linalg.norm(y)
         return y / nrm, dy / nrm
 
+    def embed(y):
+        full = np.zeros(spec.dim)
+        full[act.support] = y
+        return rep_vector(spec, full)
+
     counts: dict = {}
-    _, y, status, steps, states = _integrate(f, coords / nrm, params, [slice(None)],
+    _, y, status, steps, states = _integrate(f, y0 / nrm, params, [slice(None)],
                                              on_state, to_sphere, counts)
-    limit = rep_vector(spec, y / np.linalg.norm(y))
-    return FlowResult(samples=[(t, rep_vector(spec, y)) for t, y in states],
+    limit = embed(y / np.linalg.norm(y))
+    return FlowResult(samples=[(t, embed(y)) for t, y in states],
                       energy_trace=energy_trace,
                       residual_trace=residual_trace,
                       converged=(status == "converged"),
@@ -330,6 +345,7 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
                       limit_moment=moment(ctx, spec, limit),
                       status=status,
                       steps=steps,
+                      coordinates=act.dim,
                       **counts)
 
 

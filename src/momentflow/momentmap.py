@@ -8,7 +8,10 @@ computed here by expanding over the orthonormal basis B_k of p carried by a
 CartanContext.  That expansion is the single source of truth; the per-family
 closed forms below are verification shortcuts and are tested against it.
 The operators pi(B_k) are stored sparse, as their nonzero entries in a fixed
-order (see :class:`RepAction`), and every contraction visits only those.
+order (see :class:`RepAction`), built from the slot table without a dense
+operator, and every contraction visits only those.  An action restricted
+to the coordinates a gradient flow can reach integrates sparse inputs on
+their few weight spaces.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from .cartan import CartanContext
 from .reps import (ADJOINT, DUAL, LAMBDA2, STANDARD, TORUS_WEIGHTS, RepSpec, RepVector,
-                   _checked_in_range, _lie, apply_group, brackets_tensor, lambda2_to_matrix)
+                   _checked_in_range, _lie_moves, _weight_spaces, apply_group, brackets_tensor,
+                   lambda2_to_matrix)
 
 __all__ = [
     "MomentValue",
@@ -34,6 +38,7 @@ __all__ = [
 ]
 
 ZERO_NORM_FLOOR = 1e-300
+_FIELDS = ("k", "i", "j", "value")
 
 
 @dataclass(frozen=True)
@@ -60,35 +65,93 @@ class RepAction:
     each a contiguous array with one slot per nonzero entry: the (i, j)
     entry of the matrix of pi(B_k) is ``value``.  The entries are ordered by
     k, then by column j, then by row i; the contractions sum in that order,
-    so it fixes the last bits of every result.  Each pi(B_k) is built by one
-    batched ``reps._lie`` call on all basis vectors at once, not column by
-    column, and only its nonzeros are kept, so the dense dim_p x dim x dim
-    stack (0.1-0.8 % nonzero for brackets) is never formed.  With
+    so it fixes the last bits of every result.  Each pi(B_k) is summed
+    from the slot table's moves (``reps._lie_moves``) by one bincount, so
+    no dense operator is formed, neither a dim x dim pi(B_k) nor the
+    dim_p x dim x dim stack (0.1-0.8 % nonzero for brackets), and each
+    value is ``reps._lie``'s, bit for bit (W @ diag(B_k) on a torus).  With
     t = value * v[j] per entry, the moment coefficients are the sums of
     t * v[i] over each k, divided by |v|^2, and the gradient pi(m(v)) v
     sums coeff[k] * t over each row i.
+
+    An action acts on arrays over ``support``, ``dim`` sorted coordinates
+    of ``spec``: all of them for a built action, fewer for one from
+    :meth:`restricted`.
     """
 
     def __init__(self, ctx: CartanContext, spec: RepSpec):
         if ctx.n != spec.n:
             raise ValueError(f"context size {ctx.n} != representation size {spec.n}")
-        basis = np.eye(spec.dim)
+        dim = spec.dim
         parts = []
-        # an off-diagonal B_k has a zero diagonal, so on a torus module its
-        # columns are zero and it keeps no entries
-        for k in range(ctx.dim_p):
-            columns = _lie(spec, ctx.p_basis[k], basis)  # row j is pi(B_k) e_j
-            cols, rows = np.nonzero(columns)  # by column, then row
-            parts.append((np.full(cols.size, k), rows, cols, columns[cols, rows]))
-        nnz = sum(p[0].size for p in parts)
-        stack = np.zeros((), dtype=[("k", np.intp, (nnz,)), ("i", np.intp, (nnz,)),
-                                    ("j", np.intp, (nnz,)), ("value", float, (nnz,))])
-        for field, column in zip(("k", "i", "j", "value"), zip(*parts)):
-            stack[field] = np.concatenate(column)
+        if spec.family == TORUS_WEIGHTS:
+            # pi(B_k) is diagonal with _lie's values W @ diag(B_k); an
+            # off-diagonal B_k has a zero diagonal and keeps no entries
+            w = _weight_spaces(spec)[0]
+            for k in range(ctx.dim_p):
+                d = w @ np.diagonal(ctx.p_basis[k])
+                j = np.flatnonzero(d)
+                parts.append((np.full(j.size, k), j, j, d[j]))
+        else:
+            j, i, c, a, b = _lie_moves(spec)
+            # number the (j, i) pairs in order, so that one bincount per k
+            # sums each entry's moves in order and lists the entries by j, i
+            key = j * dim + i
+            pairs = np.flatnonzero(np.bincount(key, minlength=dim * dim))
+            rank = np.zeros(dim * dim, dtype=np.intp)
+            rank[pairs] = np.arange(pairs.size)
+            key, cell = rank[key], a * spec.n + b
+            for k, bk in enumerate(ctx.p_basis.reshape(ctx.dim_p, -1)):
+                entry = np.bincount(key, c * bk[cell], minlength=pairs.size)
+                nz = np.flatnonzero(entry)
+                cols, rows = np.divmod(pairs[nz], dim)
+                parts.append((np.full(nz.size, k), rows, cols, entry[nz]))
+        self._store(ctx, spec, np.arange(dim), *(np.concatenate(col) for col in zip(*parts)))
+
+    def _store(self, ctx, spec, support, *entries):
+        """Store the entries, columns k, i, j and value, as ``pi_stack``."""
+        nnz = entries[0].size
+        stack = np.zeros((), dtype=[(f, np.intp if f != "value" else float, (nnz,))
+                                    for f in _FIELDS])
+        for field, column in zip(_FIELDS, entries):
+            stack[field] = column
         self.ctx = ctx
         self.spec = spec
+        self.support = support
+        self.dim = support.size
         self.pi_stack = stack
-        self._k, self._i, self._j, self._value = (stack[f] for f in ("k", "i", "j", "value"))
+        self._k, self._i, self._j, self._value = (stack[f] for f in _FIELDS)
+
+    def restricted(self, coords: np.ndarray) -> "RepAction":
+        """The action on U, the smallest set of coordinates holding the
+        support of ``coords`` (over this action's coordinates) that the
+        gradient flow cannot leave; self when U is every coordinate.
+
+        k is live when it has an entry (k, i, j) with i and j in U, and U
+        grows by the row i of every entry (k, i, j) of a live k with j in U
+        until nothing is added.  For v in the span of U, m(v) has no
+        component along a B_k that is not live, so pi(m(v)) v stays in that
+        span.  The restricted action keeps the entries with i and j in U,
+        renumbered in order; it is made without ``__init__``, as it is not
+        a new build.
+        """
+        inside = coords != 0
+        while True:
+            j_in = inside[self._j]
+            live = np.zeros(self.ctx.dim_p, dtype=bool)
+            live[self._k[j_in & inside[self._i]]] = True
+            rows = self._i[j_in & live[self._k]]
+            if inside[rows].all():
+                break
+            inside[rows] = True
+        if inside.all():
+            return self
+        keep = inside[self._i] & inside[self._j]
+        local = np.cumsum(inside) - 1
+        sub = object.__new__(RepAction)
+        sub._store(self.ctx, self.spec, self.support[inside], self._k[keep],
+                  local[self._i[keep]], local[self._j[keep]], self._value[keep])
+        return sub
 
     def moment_coefficients(self, coords: np.ndarray) -> np.ndarray:
         """Coefficients of m(v) over the p-basis."""
@@ -112,7 +175,7 @@ class RepAction:
         return coeff, t
 
     def _gradient(self, coeff: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.bincount(self._i, coeff[self._k] * t, minlength=self.spec.dim)
+        return np.bincount(self._i, coeff[self._k] * t, minlength=self.dim)
 
 
 @lru_cache(maxsize=None)

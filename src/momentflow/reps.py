@@ -23,7 +23,8 @@ E_ij - E_ji, Brackets c^l_{ij} with pairs outer and target l fastest, scaled
 by sqrt(2).  Dimension, weights, the group and Lie actions and the
 coordinate bridges all derive from the slot signs and this rule: both
 actions apply one matrix to one slot at a time (``_on_slot``), rho(g) by
-composing and pi(X) by summing over the slots.  The weights and weight
+composing and pi(X) by summing over the slots, and ``_lie_moves`` lists
+the matrix of pi(X) as the same per-slot terms.  The weights and weight
 spaces of a spec are built once and cached.  The invariant inner product on
 each space is then the plain dot product of coordinates: tr(x^T y) on gl_n,
 -tr(AB)/2 on skew matrices, and for brackets the sum over *ordered* pairs
@@ -423,6 +424,43 @@ def _lie(spec: RepSpec, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     for s, sign in enumerate(signs):
         out += _on_slot(x if sign > 0 else -x.T, t, s, len(signs))
     return _coords(spec, out)
+
+
+def _lie_moves(spec: RepSpec) -> tuple:
+    """The matrix of pi(X) on coordinates as moves, arrays ``(j, i, c, a, b)``:
+    its (i, j) entry is the sum, in array order from 0, of c * X[a, b] over
+    the moves with that (i, j), which is ``_lie``'s value bit for bit.  Not
+    for TorusWeights.
+
+    Coordinate j is the tensor entry at a position P (c = 1) and, in an
+    antisymmetric family, also at the swapped position (c = -1).  Slot s
+    acts by M = X or -X^T as its sign says, which takes P to P with index a
+    in slot s, weighted by M[a, P[s]]; that is a move when the new position
+    holds a coordinate i.  A -1 slot stores -X^T[a, b] = -X[b, a] as c
+    negated and a, b exchanged.  The moves run slot by slot, the order in
+    which ``_lie`` adds the slots' terms; within a slot no (i, j) repeats,
+    as the two positions of a coordinate differ in two slots, so each
+    slot's term is one product.
+    """
+    n, signs = spec.n, _SLOTS[spec.family]
+    _, idx, swapped = _index(spec.family, n)
+    pos = np.array(idx[1:])                  # pos[s, j]: slot s's index of coordinate j
+    src = np.arange(spec.dim)
+    c = np.ones(spec.dim)
+    if swapped is not None:
+        pos = np.concatenate([pos, np.array(swapped[1:])], axis=1)
+        src, c = np.concatenate([src, src]), np.concatenate([c, -c])
+    strides = n ** np.arange(len(signs) - 1, -1, -1)
+    flat = strides @ pos
+    coord = np.full(n ** len(signs), -1)     # the coordinate at each flat position, or -1
+    coord[flat[:spec.dim]] = np.arange(spec.dim)
+    moves = []
+    for s, sign in enumerate(signs):
+        target = coord[flat[:, None] + (np.arange(n) - pos[s][:, None]) * strides[s]]
+        m, a = np.nonzero(target >= 0)
+        b = pos[s][m]
+        moves.append((src[m], target[m, a], sign * c[m], *((a, b) if sign > 0 else (b, a))))
+    return tuple(np.concatenate(column) for column in zip(*moves))
 
 
 def apply_lie(spec: RepSpec, x, v: RepVector) -> RepVector:

@@ -1,9 +1,10 @@
 """The benchmark harness under ``bench/`` reads the package through names a
-refactor can break: ``RepAction.gradient`` and ``moment_and_gradient``
-(wrapped by the tracer), ``RepAction.pi_stack`` (read for its size) and
-each module's ``__all__`` (the functions the tracer wraps).  A break shows
-up there only as a failed benchmark run, so each workload's tiny traced
-round runs here, and its records go through the benchmark's own checks.
+refactor can break: ``RepAction.__init__`` (a build), ``RepAction.gradient``
+and ``moment_and_gradient`` (wrapped by the tracer), ``RepAction.pi_stack``
+(read for its size) and each module's ``__all__`` (the functions the tracer
+wraps).  A break shows up there only as a failed benchmark run, so each
+workload's tiny traced round runs here, and its records go through the
+benchmark's own checks.
 """
 
 import json
@@ -43,3 +44,10 @@ def test_tiny_traced_round_passes_the_benchmark_checks(monkeypatch, workload):
     verdicts = [(rec["key"], *checker.check(rec["kind"], rec["inp"], rec["out"], rec["err"]))
                 for rec in doc["records"]]
     assert [v for v in verdicts if v[1] != "ok"] == []
+    if workload == "flow-critical":
+        # a flow restricted to its start's invariant coordinates is not a
+        # new build, and the tracer's class wrappers still see its gradients
+        flowed = {("brackets", rec["inp"]["n"]) if rec["kind"] == "cli-bracket-flow"
+                  else (rec["inp"]["family"], rec["inp"]["n"]) for rec in doc["records"]}
+        assert doc["layers"]["momentmap.rep_action.builds"] == len(flowed)
+        assert doc["layers"]["flows.gradient_per_step"] >= 12

@@ -874,3 +874,91 @@ def test_equivalence_reads_the_orbit_off_the_last_stage(monkeypatch, rng, spec, 
         ref = float(np.maximum(ref, np.linalg.norm(y[:d] - pred) / np.linalg.norm(y[:d])))
     assert len(states) > 10 and rep.passed
     assert rep.max_dev_v == ref
+
+
+def _closure(stack, support):
+    """U by its definition, on Python sets: grow the support by the rows i
+    of the entries (k, i, j) with j in U and k live (an entry of k with i
+    and j in U) until nothing is added."""
+    entries = list(zip(stack["k"].tolist(), stack["i"].tolist(), stack["j"].tolist()))
+    u = set(support)
+    while True:
+        live = {k for k, i, j in entries if i in u and j in u}
+        grown = u | {i for k, i, j in entries if k in live and j in u}
+        if grown == u:
+            return sorted(u)
+        u = grown
+
+
+def _reference_flow(ctx, spec, v, params):
+    """gradient_flow's run written out over every coordinate, with the
+    unrestricted action: (status, unit limit, samples)."""
+    from momentflow import flows
+    from momentflow.momentmap import _sphere_velocity, rep_action
+    act = rep_action(ctx, spec)
+
+    def on_state(t, y, dy):
+        return np.linalg.norm(dy) / np.linalg.norm(y) <= params.residual_tol
+
+    def to_sphere(y, dy):
+        nrm = np.linalg.norm(y)
+        return y / nrm, dy / nrm
+
+    _, y, status, _, samples = flows._integrate(
+        lambda y: _sphere_velocity(act, y)[1], v.coords / np.linalg.norm(v.coords), params,
+        [slice(None)], on_state, to_sphere)
+    return status, y / np.linalg.norm(y), samples
+
+
+@pytest.mark.parametrize("group", ["GL", "SL"])
+def test_restricted_action_is_the_flow_invariant_span(rng, group):
+    from momentflow.momentmap import _sphere_velocity, rep_action
+    n = 4
+    ctx = build_context(n, group)
+    torus = torus_weights([(1, 0, 0, 0), (0, 1, 0, -1), (-1, -1, 2, 0), (2, -1, 0, 0),
+                           (0, 1, -1, 1), (1, 1, 0, -1), (-1, 0, 0, 2)])
+    params = FlowParams(t_max=100.0, sample_stride=1)
+    for spec in (standard(n), dual(n), adjoint(n), lambda2(n), brackets(n), torus):
+        full = rep_action(ctx, spec)
+        dense = rng.normal(size=spec.dim)
+        assert full.restricted(dense) is full
+        for _ in range(4):
+            support = rng.choice(spec.dim, size=int(rng.integers(2, min(6, spec.dim))), replace=False)
+            coords = np.zeros(spec.dim)
+            coords[support] = rng.uniform(0.5, 2.0, support.size) * rng.choice([-1, 1], support.size)
+            act = full.restricted(coords)
+            u = act.support
+            assert u.tolist() == _closure(full.pi_stack, support.tolist())
+            assert act.dim == u.size
+            outside = np.ones(spec.dim, dtype=bool)
+            outside[u] = False
+            # the unrestricted kernel keeps every v in U there, exactly
+            w = np.zeros(spec.dim)
+            w[u] = rng.normal(size=u.size)
+            coeff, dy = _sphere_velocity(full, w)
+            assert np.all(dy[outside] == 0.0) and np.all(full.gradient(w)[outside] == 0.0)
+            sub_coeff, sub_dy = _sphere_velocity(act, w[u])
+            assert np.abs(sub_coeff - coeff).max() <= 1e-14 * max(1.0, np.abs(coeff).max())
+            assert np.abs(sub_dy - dy[u]).max() <= 1e-14 * max(1.0, np.abs(dy).max())
+            # and so does the reference run over every coordinate
+            v = rep_vector(spec, coords)
+            status, limit, samples = _reference_flow(ctx, spec, v, params)
+            assert all(np.all(y[outside] == 0.0) for _, y in samples)
+            res = gradient_flow(ctx, spec, v, params)
+            assert res.status == status and res.coordinates == u.size
+            assert np.abs(res.limit.coords - limit).max() <= 1e-8
+            assert all(np.all(s.coords[outside] == 0.0) for _, s in res.samples)
+
+
+def test_flow_result_counts_the_integrated_coordinates(rng):
+    # the diagonal Jordan conjugate of type (8,) moves inside its 7
+    # superdiagonal entries, and chain(7) inside 5 of its 147 coordinates
+    n = 8
+    coords = np.zeros(n * n)
+    coords[[k * n + k + 1 for k in range(n - 1)]] = rng.uniform(0.5, 2.0, n - 1)
+    jordan = rep_vector(adjoint(n), coords)
+    chain = bracket_preset("chain", 7).normalized()
+    dense = random_vector(rng, brackets(4))
+    for v, want in ((jordan, 7), (chain, 5), (dense, brackets(4).dim)):
+        res = gradient_flow(build_context(v.spec.n, "GL"), v.spec, v)
+        assert res.converged and res.coordinates == want

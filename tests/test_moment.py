@@ -354,15 +354,17 @@ def test_sparse_operator_build_is_deterministic_and_ordered(rng):
         order = np.lexsort((a["i"], a["j"], a["k"]))
         assert np.array_equal(order, np.arange(order.size))
         assert np.all(a["value"] != 0.0)
-    # the batched build equals the column-by-column one, byte for byte
-    for n in range(2, 7):
-        for group in ("GL", "SL"):
-            ctx = build_context(n, group)
-            for spec in matrix_families(n) + [_torus_module(rng, n)]:
-                stack = RepAction(ctx, spec).pi_stack
-                want = _pi_entries_by_columns(ctx, spec)
-                for field, column in want.items():
-                    assert stack[field].tobytes() == column.tobytes(), (spec, group, field)
+    # the slot-table build equals the column-by-column one, byte for byte,
+    # up to the benchmark's largest stacks, brackets(7) and adjoint(8)
+    cases = [(group, spec) for n in range(2, 7) for group in ("GL", "SL")
+             for spec in matrix_families(n) + [_torus_module(rng, n)]]
+    cases += [(group, spec) for spec in (brackets(7), adjoint(8)) for group in ("GL", "SL")]
+    for group, spec in cases:
+        ctx = build_context(spec.n, group)
+        stack = RepAction(ctx, spec).pi_stack
+        want = _pi_entries_by_columns(ctx, spec)
+        for field, column in want.items():
+            assert stack[field].tobytes() == column.tobytes(), (spec, group, field)
 
 
 # sha256 of pi_stack at n = 4, fields k, i, j as little-endian int64 and
