@@ -94,18 +94,6 @@ class CartanContext:
         """Length of the diagonal prefix of ``p_basis`` (the split torus)."""
         return self.n if self.group == "GL" else self.n - 1
 
-    @staticmethod
-    def inner_g(x, y) -> float:
-        """Trace form <X, Y> = tr(X^T Y)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return float(np.tensordot(x, y, axes=([0, 1], [0, 1])))
-
-    @staticmethod
-    def involution(x) -> np.ndarray:
-        """Differential of the Cartan involution, X -> -X^T."""
-        return -np.asarray(x, dtype=float).T
-
 
 def build_context(n: int, group: str = "GL") -> CartanContext:
     """Build the Cartan data for GL_n(R) or SL_n(R).
@@ -180,7 +168,7 @@ def spd_sqrt(s) -> np.ndarray:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("expected a square matrix")
     _check_symmetric(s, "spd_sqrt input")
-    return _spd_root(s)
+    return _spd_root_and_inverse(s)[0]
 
 
 def _spd_root_and_inverse(s: np.ndarray):
@@ -193,10 +181,6 @@ def _spd_root_and_inverse(s: np.ndarray):
     r = np.sqrt(w)
     h = (q * r) @ q.T
     return 0.5 * (h + h.T), (q / r) @ q.T
-
-
-def _spd_root(s: np.ndarray) -> np.ndarray:
-    return _spd_root_and_inverse(s)[0]
 
 
 def parabolic_lie_algebra(ctx: CartanContext, beta) -> np.ndarray:
@@ -235,12 +219,7 @@ def parabolic_lie_algebra(ctx: CartanContext, beta) -> np.ndarray:
     return np.stack(out)
 
 
-def weyl_normalize(v):
-    """Canonical representative of the S_n-orbit: coordinates sorted descending.
-
-    Preserves exact entries (e.g. Fractions) for sequence input; numpy input
-    comes back as a float array.
-    """
-    if isinstance(v, np.ndarray):
-        return np.sort(v.astype(float))[::-1].copy()
+def weyl_normalize(v) -> tuple:
+    """Canonical representative of the S_n-orbit: the entries of a sequence
+    as a tuple sorted descending, exact entries (e.g. Fractions) kept."""
     return tuple(sorted(v, reverse=True))

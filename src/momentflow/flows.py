@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cartan import CartanContext, _check_symmetric, _spd_root, _spd_root_and_inverse
+from .cartan import CartanContext, _check_symmetric, _spd_root_and_inverse
 from .momentmap import ZERO_NORM_FLOOR, MomentValue, _moment_matrix, _sphere_velocity, moment
 from .momentmap import rep_action
 from .reps import RepSpec, RepVector, _act, _checked_in_range, _invert, apply_group, rep_vector
@@ -419,14 +419,14 @@ def metric_flow(ctx: CartanContext, spec: RepSpec, vbar: RepVector,
     """
     n = ctx.n
     # checks the condition of sqrt(S0) and, on a torus, its diagonal
-    coords = _entry(spec, vbar, _spd_root(_sym(s0.S, n)))[0]
+    coords = _entry(spec, vbar, _spd_root_and_inverse(_sym(s0.S, n))[0])[0]
     act = rep_action(ctx, spec)
 
     def f(y):
         return _metric_velocity(ctx, act, coords, y)
 
     _, y, _, _, states = _integrate(f, s0.S.reshape(-1), params, [slice(None)])
-    _invert(_spd_root(_sym(y, n)))  # warns if S(t) ended ill-conditioned
+    _invert(_spd_root_and_inverse(_sym(y, n))[0])  # warns if S(t) ended ill-conditioned
     return [(t, SpdMetric(_sym(y, n))) for t, y in states]
 
 

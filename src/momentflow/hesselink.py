@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import CartanContext, weyl_normalize
+from .flows import FlowResult, gradient_flow
 from .minnorm import (RationalVector, _dot, _feasible_affine_minimizers, min_norm_point,
                       to_rational_vector)
 from .reps import RepSpec, RepVector, _integers, _weight_spaces, rep_vector, weight_components
@@ -34,7 +35,6 @@ __all__ = [
     "stratum_membership",
     "kn_label_via_flow",
     "project_to_sl",
-    "cochar_gram_check",
     "label_to_json",
     "label_from_json",
 ]
@@ -229,7 +229,7 @@ class KnFlowReport:
     hesselink: HesselinkLabel
     match: bool
     max_deviation: float
-    flow: "object"
+    flow: FlowResult
 
 
 def kn_label_via_flow(ctx: CartanContext, spec: RepSpec, v: RepVector) -> KnFlowReport:
@@ -242,8 +242,6 @@ def kn_label_via_flow(ctx: CartanContext, spec: RepSpec, v: RepVector) -> KnFlow
     optimal (Jordan representatives and single-weight vectors qualify);
     otherwise the two sides are allowed to disagree.
     """
-    from .flows import gradient_flow
-
     label = optimal_class(spec, v)
     if label is None:
         raise ValueError("v is torus-semistable; the flow comparison needs an unstable vector")
@@ -264,17 +262,6 @@ def project_to_sl(eta) -> RationalVector:
         raise ValueError("cannot project an empty label")
     shift = sum(eta) / len(eta)
     return tuple(x - shift for x in eta)
-
-
-def cochar_gram_check(lams) -> list[list[int]]:
-    """Gram matrix of integer cocharacter vectors under the trace form;
-    entries are exact Python ints."""
-    rows = [_integers(lam, f"cocharacter {k} is not a list of integers: {lam!r}")
-            for k, lam in enumerate(lams)]
-    for r in rows:
-        if len(r) != len(rows[0]):
-            raise ValueError("vectors of mixed dimensions")
-    return [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
 
 
 # ---------------------------------------------------------------------------

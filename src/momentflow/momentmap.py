@@ -1,4 +1,4 @@
-"""Moment map, energy, translated moment maps and the criticality residual.
+"""Moment map, energy and the criticality residual.
 
 The moment map of a vector v != 0 is the symmetric matrix m(v) determined by
 
@@ -23,16 +23,14 @@ import numpy as np
 
 from .cartan import CartanContext
 from .reps import (ADJOINT, DUAL, LAMBDA2, STANDARD, TORUS_WEIGHTS, RepSpec, RepVector,
-                   _checked_in_range, _lie_moves, _weight_spaces, apply_group, brackets_tensor,
+                   _checked_in_range, _lie_moves, _weight_spaces, brackets_tensor,
                    lambda2_to_matrix)
 
 __all__ = [
     "MomentValue",
-    "TranslatedMoment",
     "moment",
     "closed_form_moment",
     "energy",
-    "translated_moment",
     "criticality_residual",
     "rep_action",
 ]
@@ -49,13 +47,6 @@ class MomentValue:
     matrix: np.ndarray
     energy: float
     spectrum: np.ndarray
-
-
-@dataclass(frozen=True)
-class TranslatedMoment:
-    """Moment map after translating the background metric by h."""
-
-    matrix: np.ndarray
 
 
 class RepAction:
@@ -252,22 +243,6 @@ def closed_form_moment(spec: RepSpec, v: RepVector) -> MomentValue:
     return MomentValue(matrix=mat,
                        energy=float(np.tensordot(mat, mat, axes=([0, 1], [1, 0]))),
                        spectrum=np.linalg.eigvalsh(mat)[::-1].copy())
-
-
-def translated_moment(ctx: CartanContext, spec: RepSpec, h, v: RepVector) -> TranslatedMoment:
-    """Moment map for the h-translated metric: h m(rho(h)^{-1} v) h^{-1}.
-
-    For orthogonal h this reduces to m(rho(h) v) conjugated back, which is
-    the K-equivariance identity.
-    """
-    h = np.asarray(h, dtype=float)
-    try:
-        hinv = np.linalg.inv(h)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular translation element") from exc
-    w = apply_group(spec, hinv, v)
-    m = moment(ctx, spec, w).matrix
-    return TranslatedMoment(matrix=h @ m @ hinv)
 
 
 def _sphere_velocity(act: RepAction, coords: np.ndarray):

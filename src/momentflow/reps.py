@@ -47,14 +47,13 @@ __all__ = [
     "STANDARD", "DUAL", "ADJOINT", "LAMBDA2", "BRACKETS", "TORUS_WEIGHTS",
     "RepSpec", "RepVector",
     "standard", "dual", "adjoint", "lambda2", "brackets", "torus_weights",
-    "rep_dim", "rep_vector",
+    "rep_vector",
     "apply_group", "apply_lie",
     "weights_of", "weight_components",
     "lambda2_embed",
-    "adjoint_from_matrix", "adjoint_to_matrix",
-    "lambda2_from_matrix", "lambda2_to_matrix",
+    "adjoint_from_matrix", "lambda2_to_matrix",
     "brackets_tensor", "brackets_from_tensor",
-    "vector_to_json", "vector_from_json",
+    "vector_from_json",
 ]
 
 STANDARD = "Standard"
@@ -194,10 +193,6 @@ def torus_weights(weights) -> RepSpec:
     return RepSpec(TORUS_WEIGHTS, n, rows)
 
 
-def rep_dim(spec: RepSpec) -> int:
-    return spec.dim
-
-
 @dataclass(frozen=True)
 class RepVector:
     """A coordinate vector in a representation."""
@@ -261,13 +256,6 @@ def rep_vector(spec: RepSpec, coords) -> RepVector:
 # matrix bridges
 
 
-def adjoint_to_matrix(v: RepVector) -> np.ndarray:
-    if v.spec.family != ADJOINT:
-        raise ValueError("not an Adjoint vector")
-    n = v.spec.n
-    return v.coords.reshape(n, n).copy()
-
-
 def adjoint_from_matrix(x) -> RepVector:
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -300,17 +288,13 @@ def lambda2_to_matrix(v: RepVector) -> np.ndarray:
     return _tensor(v.spec, v.coords)
 
 
-def lambda2_from_matrix(a) -> RepVector:
-    a = np.asarray(a, dtype=float)
-    spec = lambda2(a.shape[0])
-    return RepVector(spec, _coords(spec, a))
-
-
 def lambda2_embed(x, y) -> RepVector:
     """Coordinates of x ^ y, i.e. of the skew matrix x y^T - y x^T."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return lambda2_from_matrix(np.outer(x, y) - np.outer(y, x))
+    a = np.outer(x, y) - np.outer(y, x)
+    spec = lambda2(a.shape[0])
+    return RepVector(spec, _coords(spec, a))
 
 
 def brackets_tensor(v: RepVector) -> np.ndarray:
@@ -522,14 +506,6 @@ def weight_components(spec: RepSpec, v: RepVector) -> dict[tuple[int, ...], np.n
 
 # ---------------------------------------------------------------------------
 # vector file format (shared with the CLI)
-
-
-def vector_to_json(v: RepVector) -> dict:
-    doc: dict = {"family": v.spec.family, "n": v.spec.n}
-    if v.spec.family == TORUS_WEIGHTS:
-        doc["weights"] = [list(w) for w in v.spec.weights]
-    doc["coords"] = [float(x) for x in v.coords]
-    return doc
 
 
 def vector_from_json(doc) -> RepVector:

@@ -1,9 +1,10 @@
-"""The package's public option surface and its module imports.
+"""The package's public names, its option surface and its module imports.
 
-Every keyword parameter with a default is a setting that the tests must
-cover, so the set of them is pinned here: a new one is a deliberate edit of
-this file.  The functions counted are the ones the bench tracer wraps, each
-name in a module's ``__all__`` that is a function defined in that module.
+Every public name and every keyword parameter with a default is surface
+that the tests must cover, so both sets are pinned here: a new one is a
+deliberate edit of this file.  The functions counted are the ones the bench
+tracer wraps, each name in a module's ``__all__`` that is a function
+defined in that module.
 """
 
 import ast
@@ -40,6 +41,37 @@ def test_public_keyword_parameters_are_exactly_the_live_settings():
         "hesselink.enumerate_labels.max_weight_count",
         "bracket.critical_bracket_check.residual_tol",
     }
+
+
+def test_public_names_are_exactly_the_used_ones():
+    exported = {name for name, value in vars(momentflow).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == {
+        "ADJOINT", "BRACKETS", "DUAL", "LAMBDA2", "MINUS_INFINITY", "STANDARD",
+        "TORUS_WEIGHTS",
+        "CartanContext", "CoupledFlowResult", "CriticalBracketReport",
+        "DerivationReport", "EquivalenceReport", "FlowError", "FlowParams",
+        "FlowResult", "HesselinkLabel", "JordanLabelReport", "KnFlowReport",
+        "LabelEnumeration", "MinNormCertificate", "MomentValue", "Partition",
+        "RepSpec", "RepVector", "SpdMetric", "StratumReport",
+        "adjoint", "adjoint_from_matrix", "apply_group", "apply_lie",
+        "bracket_preset", "brackets", "brackets_from_tensor", "brackets_tensor",
+        "build_context", "closed_form_moment", "coupled_group_flow",
+        "critical_bracket_check", "criticality_residual", "derivation_report",
+        "dominates", "dual", "energy", "enumerate_labels", "flow_trajectory_csv",
+        "gradient_flow", "instability_measure", "jordan_label", "jordan_vector",
+        "kn_label_via_flow", "label_from_json", "label_to_json", "lambda2",
+        "lambda2_embed", "lambda2_to_matrix", "metric_flow", "min_norm_point",
+        "min_norm_point_by_enumeration", "moment", "optimal_class",
+        "parabolic_lie_algebra", "partitions", "project_to_sl", "rep_vector",
+        "spd_sqrt", "standard", "state_of", "stratum_membership", "torus_weights",
+        "vector_from_json", "verify_flow_equivalence", "weight_components",
+        "weights_of", "weyl_normalize",
+    }
+    layered = set().union(*(importlib.import_module(f"momentflow.{layer}").__all__
+                            for layer in MODULES))
+    assert layered - exported == {"jacobi_ok", "jacobi_residual", "main", "rep_action",
+                                  "run", "solve_exact", "to_rational_vector"}
 
 
 def test_every_top_level_import_is_used():

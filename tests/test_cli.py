@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from momentflow.cli import _build_parser, run
-from momentflow.hesselink import cochar_gram_check
 from momentflow.jordan import Partition
 from momentflow.momentmap import rep_action
 from momentflow.reps import RepSpec
@@ -615,7 +614,6 @@ def test_malformed_documents_name_the_document_and_entry(capsys, argv, message):
     pytest.param(lambda: RepSpec("TorusWeights", 2, ((1.5, 0), (0, 1))), id="weights-float"),
     pytest.param(lambda: RepSpec("TorusWeights", 2, ((True, 0), (0, 1))), id="weights-bool"),
     pytest.param(lambda: Partition((2.5, 1)), id="partition-float"),
-    pytest.param(lambda: cochar_gram_check([(1.5, 0), (0, 1)]), id="cochar-float"),
 ])
 def test_non_integers_are_refused_not_truncated(capsys, call):
     # these used to read their entries through int(): 1.5 as 1, true as 1
@@ -631,6 +629,5 @@ def test_non_integers_are_refused_not_truncated(capsys, call):
 def test_integral_floats_and_numpy_integers_are_integers(capsys):
     assert RepSpec("TorusWeights", 2, ((1.0, 0), (0, np.int64(1)))).weights == ((1, 0), (0, 1))
     assert Partition((2.0, np.int32(1))).parts == (2, 1)
-    assert cochar_gram_check([(np.float64(1.0), 0)]) == [[1]]
     code, doc = _capture_json(capsys, ["project-sl", "--eta", "[[2.0,1],0]"])
     assert code == 0 and doc["eta"] == ["2/1", "0/1"]

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentflow import (MINUS_INFINITY, RepSpec, adjoint, adjoint_from_matrix, apply_group,
-                        brackets, build_context, cochar_gram_check, dual,
+                        brackets, build_context, dual,
                         enumerate_labels, instability_measure, jordan_label,
                         kn_label_via_flow, label_from_json, label_to_json,
                         lambda2, optimal_class, partitions, project_to_sl,
@@ -420,16 +420,6 @@ def test_project_to_sl():
     assert project_to_sl((1, -1)) == (F(1), F(-1))
     out = project_to_sl((F(1, 3), F(1, 2), F(0)))
     assert sum(out) == 0
-
-
-def test_cochar_gram_check(rng):
-    assert cochar_gram_check([(1, 0), (0, 1)]) == [[1, 0], [0, 1]]
-    assert cochar_gram_check([(1, -1)]) == [[2]]
-    vs = [tuple(int(x) for x in rng.integers(-9, 10, size=4)) for _ in range(3)]
-    gram = cochar_gram_check(vs)
-    expected = (np.array(vs) @ np.array(vs).T).tolist()
-    assert gram == expected
-    assert all(isinstance(x, int) for row in gram for x in row)
 
 
 def test_label_json_round_trip():

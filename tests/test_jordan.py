@@ -4,8 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from momentflow import (Partition, adjoint_to_matrix, dominates, jordan_label,
-                        jordan_vector, partitions, state_of)
+from momentflow import Partition, dominates, jordan_label, jordan_vector, partitions, state_of
 from momentflow.minnorm import min_norm_point_by_enumeration
 
 
@@ -30,11 +29,11 @@ def test_partitions_enumeration():
 
 
 def test_jordan_vector_shapes():
-    assert np.array_equal(adjoint_to_matrix(jordan_vector(Partition((2,)))),
+    assert np.array_equal(jordan_vector(Partition((2,))).coords.reshape(2, 2),
                           [[0.0, 1.0], [0.0, 0.0]])
-    x = adjoint_to_matrix(jordan_vector(Partition((3,))))
+    x = jordan_vector(Partition((3,))).coords.reshape(3, 3)
     assert np.array_equal(x, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    x = adjoint_to_matrix(jordan_vector(Partition((2, 1))))
+    x = jordan_vector(Partition((2, 1))).coords.reshape(3, 3)
     assert np.array_equal(x, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
         jordan_vector(Partition((1, 1)))
@@ -44,9 +43,9 @@ def test_jordan_vector_state_is_simple_root_subset():
     for parts in [(3, 2), (4, 1), (2, 2, 1)]:
         p = Partition(parts)
         v = jordan_vector(p)
-        x = adjoint_to_matrix(v)
-        expected = []
         n = p.n
+        x = v.coords.reshape(n, n)
+        expected = []
         for i in range(n - 1):
             if x[i, i + 1]:
                 chi = [0] * n

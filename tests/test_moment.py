@@ -7,7 +7,7 @@ from momentflow import (adjoint, adjoint_from_matrix, apply_group, apply_lie,
                         brackets, build_context, closed_form_moment,
                         criticality_residual, dual, energy, lambda2,
                         lambda2_embed, moment, rep_vector, standard,
-                        torus_weights, translated_moment)
+                        torus_weights)
 from momentflow.bracket import bracket_preset
 
 from conftest import bracket_value, matrix_families, random_orthogonal, random_vector
@@ -171,56 +171,6 @@ def test_energy_matches_defining_identity_shortcut(rng):
         assert abs(mv.energy - shortcut) <= 1e-12 * max(1.0, mv.energy)
 
 
-def test_translated_moment_identity_element(rng):
-    ctx = build_context(2, "GL")
-    spec = standard(2)
-    v = rep_vector(spec, [1.0, 2.0])
-    rep = translated_moment(ctx, spec, np.eye(2), v)
-    assert np.abs(rep.matrix - moment(ctx, spec, v).matrix).max() <= 1e-15
-
-
-def test_translated_moment_orthogonal(rng):
-    # oracle: the closed form v v^T / |v|^2 evaluated at rho(h) e_1
-    ctx = build_context(3, "GL")
-    spec = standard(3)
-    h = random_orthogonal(rng, 3)
-    ve1 = rep_vector(spec, [1.0, 0.0, 0.0])
-    rep = translated_moment(ctx, spec, h, apply_group(spec, h, ve1))
-    expected = h @ _e(3, 0, 0) @ h.T
-    assert np.abs(rep.matrix - expected).max() <= 1e-12
-
-
-def test_translated_moment_diagonal_eigenvector():
-    ctx = build_context(2, "GL")
-    spec = standard(2)
-    rep = translated_moment(ctx, spec, np.diag([2.0, 1.0]), rep_vector(spec, [1.0, 0.0]))
-    assert np.abs(rep.matrix - _e(2, 0, 0)).max() <= 1e-15
-
-
-def test_k_equivariance_via_translated_moment(rng):
-    # Ad_h(m(v)) = m(rho(h) v) for orthogonal h, phrased through the API
-    ctx = build_context(3, "GL")
-    for spec in matrix_families(3):
-        v = random_vector(rng, spec)
-        k = random_orthogonal(rng, 3)
-        rep = translated_moment(ctx, spec, k, apply_group(spec, k, v))
-        assert np.abs(rep.matrix - k @ moment(ctx, spec, v).matrix @ k.T).max() <= 1e-10
-
-
-def test_translated_moment_depends_only_on_coset(rng):
-    # replacing h by h k for orthogonal k changes nothing: the translated
-    # data is a function of the coset hK
-    ctx = build_context(3, "GL")
-    from conftest import random_well_conditioned
-    for spec in matrix_families(3):
-        v = random_vector(rng, spec)
-        h = random_well_conditioned(rng, 3)
-        k = random_orthogonal(rng, 3)
-        a = translated_moment(ctx, spec, h, v).matrix
-        b = translated_moment(ctx, spec, h @ k, v).matrix
-        assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
-
-
 def test_criticality_residual_values():
     ctx2 = build_context(2, "GL")
     assert criticality_residual(ctx2, standard(2), rep_vector(standard(2), [1.0, 0.0])) <= 1e-15
@@ -246,8 +196,6 @@ def test_zero_vector_rejected():
         closed_form_moment(standard(2), z)
     with pytest.raises(ValueError):
         criticality_residual(ctx, standard(2), z)
-    with pytest.raises(ValueError):
-        translated_moment(ctx, standard(2), np.eye(2), z)
 
 
 def test_closed_form_rejects_torus_family():
@@ -268,13 +216,6 @@ def test_torus_weights_moment_is_torus_moment():
     sl = moment(build_context(3, "SL"), spec, v).matrix
     assert abs(np.trace(sl)) <= 1e-12
     assert np.abs(sl - np.diag(diag - diag.mean())).max() <= 1e-12
-
-
-def test_translated_moment_rejects_singular():
-    ctx = build_context(2, "GL")
-    v = rep_vector(standard(2), [1.0, 0.0])
-    with pytest.raises(ValueError):
-        translated_moment(ctx, standard(2), np.zeros((2, 2)), v)
 
 
 def test_moment_value_invariants(rng):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from momentflow import (adjoint, adjoint_from_matrix, adjoint_to_matrix, apply_group,
-                        apply_lie, brackets, build_context, dual, lambda2, lambda2_embed,
-                        lambda2_from_matrix, lambda2_to_matrix, rep_dim, rep_vector, standard,
-                        torus_weights, vector_from_json, vector_to_json,
-                        weight_components, weights_of)
+from momentflow import (TORUS_WEIGHTS, adjoint, adjoint_from_matrix, apply_group, apply_lie,
+                        brackets, build_context, dual, lambda2, lambda2_embed,
+                        lambda2_to_matrix, rep_vector, standard, torus_weights,
+                        vector_from_json, weight_components, weights_of)
 from momentflow.bracket import bracket_preset
 from momentflow.reps import RepSpec, _weight_spaces, brackets_from_tensor, brackets_tensor
 
@@ -21,11 +20,11 @@ def _e(n, i, j):
 
 
 def test_dimensions():
-    assert rep_dim(adjoint(3)) == 9
-    assert rep_dim(lambda2(4)) == 6
-    assert rep_dim(brackets(3)) == 9
-    assert rep_dim(standard(5)) == 5 == rep_dim(dual(5))
-    assert rep_dim(torus_weights([(1, 0), (0, 1), (2, -1)])) == 3
+    assert adjoint(3).dim == 9
+    assert lambda2(4).dim == 6
+    assert brackets(3).dim == 9
+    assert standard(5).dim == 5 == dual(5).dim
+    assert torus_weights([(1, 0), (0, 1), (2, -1)]).dim == 3
 
 
 def test_identity_acts_trivially(rng):
@@ -103,7 +102,7 @@ def test_weights_of_families():
         }
         for spec, ws in want.items():
             got = weights_of(spec)
-            assert spec.dim == len(ws) == rep_dim(spec), (spec, n)
+            assert spec.dim == len(ws), (spec, n)
             assert got == ws, (spec, n)
             assert all(type(x) is int for w in got for x in w)  # plain ints, for JSON
 
@@ -245,9 +244,12 @@ def test_k_action_is_orthogonal(rng):
 
 
 def test_vector_json_round_trip(rng):
-    for spec in matrix_families(3) + [torus_weights([(1, 0, 0), (0, -1, 2)])]:
+    weights = [[1, 0, 0], [0, -1, 2]]
+    for spec in matrix_families(3) + [torus_weights(weights)]:
         v = random_vector(rng, spec)
-        doc = vector_to_json(v)
+        doc = {"family": spec.family, "n": 3, "coords": v.coords.tolist()}
+        if spec.family == TORUS_WEIGHTS:
+            doc["weights"] = weights
         back = vector_from_json(doc)
         assert back.spec == v.spec
         assert np.array_equal(back.coords, v.coords)
@@ -288,8 +290,8 @@ def test_group_action_matches_the_family_formulas(rng, n):
     formulas = {
         standard(n): lambda v: g @ v.coords,
         dual(n): lambda v: gi.T @ v.coords,
-        adjoint(n): lambda v: (g @ adjoint_to_matrix(v) @ gi).reshape(-1),
-        lambda2(n): lambda v: lambda2_from_matrix(g @ lambda2_to_matrix(v) @ g.T).coords,
+        adjoint(n): lambda v: (g @ v.coords.reshape(n, n) @ gi).reshape(-1),
+        lambda2(n): lambda v: (g @ lambda2_to_matrix(v) @ g.T)[np.triu_indices(n, 1)],
         # (g.mu)(x, y) = g mu(g^{-1} x, g^{-1} y)
         brackets(n): lambda v: brackets_from_tensor(
             np.einsum("lm,mab,ai,bj->lij", g, brackets_tensor(v), gi, gi)).coords,
@@ -311,7 +313,7 @@ def test_pair_bridges_match_pair_loops(rng):
     for idx, (i, j) in enumerate(pairs):
         a[i, j], a[j, i] = v.coords[idx], -v.coords[idx]
     assert np.array_equal(lambda2_to_matrix(v), a)
-    assert np.array_equal(lambda2_from_matrix(a).coords, v.coords)
+    assert np.array_equal(a[np.triu_indices(n, 1)], v.coords)
     mu = random_vector(rng, brackets(n))
     c = mu.coords.reshape(-1, n) / np.sqrt(2.0)
     t = np.zeros((n, n, n))
