@@ -20,7 +20,7 @@ import numpy as np
 
 from .cartan import CartanContext
 from .momentmap import MomentValue, criticality_residual, moment
-from .reps import SQRT2, RepVector, _lie, brackets_from_tensor, brackets_tensor
+from .reps import SQRT2, RepVector, _integers, _lie, brackets_from_tensor, brackets_tensor
 
 __all__ = [
     "DerivationReport",
@@ -64,6 +64,7 @@ def bracket_preset(name: str, n: int) -> RepVector:
       n = 3 this coincides with the Heisenberg bracket.
     """
     name = str(name).lower()
+    n = _integers((n,), f"n is not an integer: {n!r}")[0]
     if name == "heisenberg":
         if n != 3:
             raise ValueError("the Heisenberg preset needs n = 3")

@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .reps import _integers
+
 __all__ = [
     "CartanContext",
     "build_context",
@@ -31,12 +33,6 @@ __all__ = [
 AD_GRADING_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 def _traceless_diagonal_basis(n: int) -> np.ndarray:
     """Orthonormal basis of trace-zero diagonals, as (n-1, n) coefficient rows.
 
@@ -48,11 +44,9 @@ def _traceless_diagonal_basis(n: int) -> np.ndarray:
         v = np.zeros(n)
         v[k] = 1.0
         v[k + 1] = -1.0
-        for prev in rows[:k]:
-            v -= (prev @ v) * prev
-        # second pass guards the 1e-14 Gram requirement
-        for prev in rows[:k]:
-            v -= (prev @ v) * prev
+        for _ in range(2):  # the second pass guards the 1e-14 Gram requirement
+            for prev in rows[:k]:
+                v -= (prev @ v) * prev
         rows[k] = v / np.linalg.norm(v)
     return rows
 
@@ -91,8 +85,8 @@ class CartanContext:
 
     @property
     def a_dim(self) -> int:
-        """Length of the diagonal prefix of ``p_basis`` (the split torus)."""
-        return self.n if self.group == "GL" else self.n - 1
+        """Length of the diagonal prefix of ``p_basis``: the split rank."""
+        return self.dim_p - self.dim_k
 
 
 def build_context(n: int, group: str = "GL") -> CartanContext:
@@ -104,10 +98,11 @@ def build_context(n: int, group: str = "GL") -> CartanContext:
     Raises
     ------
     ValueError
-        If n < 1, or if group is "SL" with n < 2.
+        If n is not an integer or n < 1, or if group is "SL" with n < 2.
     """
     if group not in ("GL", "SL"):
         raise ValueError(f"group must be 'GL' or 'SL', got {group!r}")
+    n = _integers((n,), f"matrix size is not an integer: {n!r}")[0]
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
     if group == "SL" and n < 2:
@@ -117,35 +112,22 @@ def build_context(n: int, group: str = "GL") -> CartanContext:
 
 @lru_cache(maxsize=None)
 def _context(n: int, group: str) -> CartanContext:
-    diag: list[np.ndarray] = []
-    if group == "GL":
-        for i in range(n):
-            e = np.zeros((n, n))
-            e[i, i] = 1.0
-            diag.append(e)
-    else:
-        for row in _traceless_diagonal_basis(n):
-            diag.append(np.diag(row))
-
-    sym: list[np.ndarray] = []
-    skew: list[np.ndarray] = []
+    """The bases from the one group-dependent datum, the table of diagonal
+    rows (unit vectors for GL, the trace-zero staircase for SL), which is the
+    prefix of ``p_basis``; the pairs i < j, row-major, give the rest."""
+    rows = np.eye(n) if group == "GL" else _traceless_diagonal_basis(n)
+    iu, ju = np.triu_indices(n, 1)
+    pairs = np.arange(iu.size)
     s = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = np.zeros((n, n))
-            b[i, j] = s
-            b[j, i] = s
-            sym.append(b)
-            k = np.zeros((n, n))
-            k[i, j] = s
-            k[j, i] = -s
-            skew.append(k)
-
-    p_basis = np.stack(diag + sym) if diag + sym else np.zeros((0, n, n))
-    k_basis = np.stack(skew) if skew else np.zeros((0, n, n))
-    return CartanContext(n=n, group=group,
-                         p_basis=_readonly(p_basis),
-                         k_basis=_readonly(k_basis))
+    k_basis = np.zeros((iu.size, n, n))
+    k_basis[pairs, iu, ju] = s
+    k_basis[pairs, ju, iu] = -s
+    diag = np.zeros((len(rows), n, n))
+    diag[:, range(n), range(n)] = rows
+    # (E_ij + E_ji)/sqrt(2) is the entrywise |(E_ij - E_ji)/sqrt(2)|
+    p_basis = np.concatenate([diag, np.abs(k_basis)])
+    p_basis.flags.writeable = k_basis.flags.writeable = False
+    return CartanContext(n=n, group=group, p_basis=p_basis, k_basis=k_basis)
 
 
 def _check_symmetric(s: np.ndarray, what: str, tol: float = 1e-10) -> None:
@@ -188,11 +170,10 @@ def parabolic_lie_algebra(ctx: CartanContext, beta) -> np.ndarray:
 
     For symmetric beta with eigenpairs (lambda_i, q_i) the matrices
     q_i q_j^T are an orthonormal eigenbasis of ad(beta) with eigenvalues
-    lambda_i - lambda_j; the returned stack collects those with
-    lambda_i - lambda_j >= -AD_GRADING_TOL.  For an SL context the n
-    matrices with i = j are replaced by n - 1 trace-zero diagonal
-    combinations, so the basis spans a subalgebra of sl_n (dimension one
-    less than the pair count).
+    lambda_i - lambda_j.  The returned stack holds the grade-zero torus, one
+    matrix sum_i row_i q_i q_i^T per row of the context's diagonal table (a
+    subalgebra of sl_n for SL), then the q_i q_j^T, i != j, with
+    lambda_i - lambda_j >= -AD_GRADING_TOL.
 
     Returns an array of shape (k, n, n).
     """
@@ -204,19 +185,11 @@ def parabolic_lie_algebra(ctx: CartanContext, beta) -> np.ndarray:
         raise ValueError("beta must be trace-zero for SL")
 
     lam, q = np.linalg.eigh(beta)
-    n = ctx.n
-    out: list[np.ndarray] = []
-    if ctx.group == "GL":
-        for i in range(n):
-            out.append(np.outer(q[:, i], q[:, i]))
-    else:
-        for row in _traceless_diagonal_basis(n):
-            out.append((q * row) @ q.T)
-    for i in range(n):
-        for j in range(n):
-            if i != j and lam[i] - lam[j] >= -AD_GRADING_TOL:
-                out.append(np.outer(q[:, i], q[:, j]))
-    return np.stack(out)
+    rows = ctx.p_basis[:ctx.a_dim].diagonal(axis1=1, axis2=2)
+    i, j = np.nonzero((lam[:, None] - lam[None, :] >= -AD_GRADING_TOL)
+                      & ~np.eye(ctx.n, dtype=bool))
+    torus = [(q * row) @ q.T for row in rows]
+    return np.concatenate([torus, q.T[i, :, None] * q.T[j, None, :]])
 
 
 def weyl_normalize(v) -> tuple:

@@ -42,7 +42,8 @@ import numpy as np
 from .cartan import CartanContext, _check_symmetric, _spd_root_and_inverse
 from .momentmap import ZERO_NORM_FLOOR, MomentValue, _moment_matrix, _sphere_velocity, moment
 from .momentmap import rep_action
-from .reps import RepSpec, RepVector, _act, _checked_in_range, _invert, apply_group, rep_vector
+from .reps import (RepSpec, RepVector, _act, _checked_in_range, _integers, _invert, apply_group,
+                   rep_vector)
 
 __all__ = [
     "FlowParams",
@@ -87,6 +88,10 @@ class FlowParams:
     sample_stride: int = 10
 
     def __post_init__(self):
+        for name in ("max_steps", "sample_stride"):
+            value = getattr(self, name)
+            object.__setattr__(self, name,
+                               _integers((value,), f"{name} is not an integer: {value!r}")[0])
         # comparisons fail on NaN, so NaN is rejected; t_max may be inf
         if not (self.t_max > 0 and self.max_steps > 0 and self.sample_stride > 0):
             raise ValueError("flow parameters must be positive")

@@ -135,6 +135,7 @@ class RepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", canonical_family(self.family))
+        object.__setattr__(self, "n", _integers((self.n,), f"n is not an integer: {self.n!r}")[0])
         if self.n < 1:
             raise ValueError(f"matrix size must be positive, got {self.n}")
         if self.family == TORUS_WEIGHTS:
@@ -515,5 +516,5 @@ def vector_from_json(doc) -> RepVector:
     if family == TORUS_WEIGHTS:
         spec = torus_weights(doc["weights"])
     else:
-        spec = RepSpec(family, _integers((doc["n"],), f"n is not an integer: {doc['n']!r}")[0])
+        spec = RepSpec(family, doc["n"])
     return rep_vector(spec, doc["coords"])

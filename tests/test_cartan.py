@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,80 @@ def test_diagonal_prefix_spans_torus():
         if group == "SL":
             for b in prefix:
                 assert abs(np.trace(b)) <= 1e-14
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+# sha256 of the bases as little-endian float64, recorded from the per-matrix
+# loops that built them before the diagonal table; k_basis is the same for GL
+# and SL
+_P_BASIS_SHA256 = {
+    ("GL", 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    ("GL", 2): "ce0bb7ba80a5953a4c712f91f7344528a0e3ea14ccadbbf304ff1a7438be97ed",
+    ("GL", 3): "6d32ea147d8ceda5b8785bd73449aabb5efb4965fefe61521f6994f6ec426807",
+    ("GL", 4): "72072405f14cd0c6dc9026e44d8b0da67daae70bd552ac903e0644f6fda76420",
+    ("GL", 5): "e829a6274b4749a433bfdd40dd6d3efc45478a1a71b0fa4c8d8a0e0a7535eaf5",
+    ("GL", 6): "831c454296aedd6d4370c9965689a87631c06c2be61ec60f13649178d86b58e5",
+    ("GL", 7): "c23a05f918121867f7c100e598134b3a9291cef7ec447ec885c91e71708929cf",
+    ("GL", 8): "10a8ec255a59153d86edb932240d89c11edfb292d8d2c15a569b7c387db0540e",
+    ("SL", 2): "252c4457d167a9312a45ba53606e3793dcf1860e9313cbb907b104f6af01b6f4",
+    ("SL", 3): "f7992a0e5ace5f84739b41684a1285daef4be23dc7e38fd7a5adf2410a91cfff",
+    ("SL", 4): "6caa16cfeea37bbdd9afd6774f307599781e47c23a3830c0d9a0c7ba153a6991",
+    ("SL", 5): "53106f56e4d39033ccddb84e5d2aa09f8aeac4428015851c7398b6076244226a",
+    ("SL", 6): "a9dcca222c645723ab5c2e2e3b4495191ebf5c0db651af1a4cba25c128f41123",
+    ("SL", 7): "cfa900db133b3991fbe39c262f719e213a8dc859a83a23609c460eb1a9eb369a",
+    ("SL", 8): "5f27584bbe291033bc3e3195738601cb315e1cabd340b814de3c14cd5120ad60",
+}
+_K_BASIS_SHA256 = {
+    1: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    2: "8c28f4aa60e9078049a0ede29a44097828298aec8ca9b4ee3441edb5c663d442",
+    3: "feb4fe3c3e5cfad54e5cd10a53d4e786cce925ac5a19cedb4e0cc653976b2680",
+    4: "51b036b279df3e03e381bc8667f3964d329b2cc6cfcfece80ec1f43289eb6835",
+    5: "737cb5030ce9a860e31f0747d868405efeb17bced1f524629dd624f7736673aa",
+    6: "c1c1cf6f07f830be4603e9f3a91d1ad0eae8f911dfb0e0a62c7a0f9deada5d27",
+    7: "61f2abcc654a685597f82a835d7999e35e79bb07dcd7f3313b0445731c2c517e",
+    8: "6250719a5c1e16947ae2910de41a4a09eecbfaa7cb376a53f817efdd71a929d7",
+}
+
+
+@pytest.mark.parametrize("group, n", sorted(_P_BASIS_SHA256))
+def test_bases_keep_their_bytes(group, n):
+    ctx = build_context(n, group)
+    assert _sha256(ctx.p_basis) == _P_BASIS_SHA256[group, n]
+    assert _sha256(ctx.k_basis) == _K_BASIS_SHA256[n]
+    # the diagonal prefix is exactly a_dim long
+    diagonal = [not (b - np.diag(np.diag(b))).any() for b in ctx.p_basis]
+    assert sum(diagonal) == ctx.a_dim and all(diagonal[:ctx.a_dim])
+
+
+# sha256 of parabolic_lie_algebra's stack, recorded like the bases; betas are
+# integer diagonals (with repeated entries) or integer symmetric matrices
+@pytest.mark.parametrize("group, beta, dim, digest", [
+    ("GL", [2, 0, -1], 6, "3b41ba8b3e40d4229e9291956abdac9e1d813654fec59a825f7631f66e26858b"),
+    ("GL", [1, -2, 1, 0], 11, "2a202b961668eae6e6b88727b321b357f9461ee728b6876df133b3ecacacf69f"),
+    ("SL", [1, 0, -1], 5, "3d59c9195618b14d9af81dda9d15e1fc003e5ce30f27779c988fc66fb4c01e6d"),
+    ("SL", [-1, 3, -1, -1], 12, "9172f5f61852801350c6b7e0486919b753af54876ee5f4ef3527c34fb9bf6a7c"),
+    ("GL", [[2, 1, 0], [1, 0, 1], [0, 1, -1]], 6,
+     "099622a2cf3913585ff1e54465f98fb1338e9eb812ea3991ebe9510c09d2fd9a"),
+    ("SL", [[1, 1, 0], [1, 0, 2], [0, 2, -1]], 5,
+     "d34ca692cafe9348c843925b2051776264def82e650a4710f72bafb71bac6269"),
+])
+def test_parabolic_keeps_its_bytes(group, beta, dim, digest):
+    beta = np.array(beta, dtype=float)
+    if beta.ndim == 1:
+        beta = np.diag(beta)
+    basis = parabolic_lie_algebra(build_context(len(beta), group), beta)
+    assert basis.shape == (dim, len(beta), len(beta))
+    assert _sha256(basis) == digest
+
+
+def test_parabolic_checks_the_sl_trace():
+    beta = np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="trace-zero"):
+        parabolic_lie_algebra(build_context(3, "SL"), beta)
+    assert parabolic_lie_algebra(build_context(3, "GL"), beta).shape == (7, 3, 3)
 
 
 def test_sl_bases_traceless():

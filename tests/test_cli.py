@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momentflow.bracket import bracket_preset
+from momentflow.cartan import build_context
 from momentflow.cli import _build_parser, run
+from momentflow.flows import FlowParams
 from momentflow.jordan import Partition
 from momentflow.momentmap import rep_action
 from momentflow.reps import RepSpec
@@ -614,9 +617,17 @@ def test_malformed_documents_name_the_document_and_entry(capsys, argv, message):
     pytest.param(lambda: RepSpec("TorusWeights", 2, ((1.5, 0), (0, 1))), id="weights-float"),
     pytest.param(lambda: RepSpec("TorusWeights", 2, ((True, 0), (0, 1))), id="weights-bool"),
     pytest.param(lambda: Partition((2.5, 1)), id="partition-float"),
+    pytest.param(lambda: RepSpec("standard", 2.5), id="spec-n-float"),
+    pytest.param(lambda: RepSpec("adjoint", True), id="spec-n-bool"),
+    pytest.param(lambda: build_context(True, "SL"), id="context-n-bool"),
+    pytest.param(lambda: build_context(2.5), id="context-n-float"),
+    pytest.param(lambda: bracket_preset("chain", 4.5), id="preset-n-float"),
+    pytest.param(lambda: FlowParams(sample_stride=0.5), id="stride-float"),
+    pytest.param(lambda: FlowParams(max_steps=True), id="max-steps-bool"),
 ])
 def test_non_integers_are_refused_not_truncated(capsys, call):
-    # these used to read their entries through int(): 1.5 as 1, true as 1
+    # these used to read their entries through int(): 1.5 as 1, true as 1;
+    # a size or counter of 2.5 or True used to be accepted or fail later
     if callable(call):
         with pytest.raises(ValueError, match="integer"):
             call()
@@ -629,5 +640,12 @@ def test_non_integers_are_refused_not_truncated(capsys, call):
 def test_integral_floats_and_numpy_integers_are_integers(capsys):
     assert RepSpec("TorusWeights", 2, ((1.0, 0), (0, np.int64(1)))).weights == ((1, 0), (0, 1))
     assert Partition((2.0, np.int32(1))).parts == (2, 1)
+    assert RepSpec("standard", 2.0) == RepSpec("standard", np.int64(2)) == RepSpec("standard", 2)
+    assert type(RepSpec("adjoint", np.int64(3)).n) is int
+    assert build_context(2.0) is build_context(np.int64(2)) is build_context(2)
+    assert bracket_preset("chain", np.int64(4)).spec.n == 4
+    params = FlowParams(max_steps=3.0, sample_stride=np.int32(2))
+    assert (params.max_steps, params.sample_stride) == (3, 2)
+    assert type(params.max_steps) is int and type(params.sample_stride) is int
     code, doc = _capture_json(capsys, ["project-sl", "--eta", "[[2.0,1],0]"])
     assert code == 0 and doc["eta"] == ["2/1", "0/1"]
