@@ -35,6 +35,7 @@ plain arrays, and take rho(h) vbar and its moment map from one kernel,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,6 +93,10 @@ class FlowParams:
             value = getattr(self, name)
             object.__setattr__(self, name,
                                _integers((value,), f"{name} is not an integer: {value!r}")[0])
+        for name in ("t_max", "residual_tol"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a float, not a bool: {value!r}")
         # comparisons fail on NaN, so NaN is rejected; t_max may be inf
         if not (self.t_max > 0 and self.max_steps > 0 and self.sample_stride > 0):
             raise ValueError("flow parameters must be positive")
@@ -199,20 +204,29 @@ def _dop853_step(f, y, dy, dt):
     # stages 12 and 13 are both at the step's end, so their difference
     # quotient is the stiffness estimate of Hairer-Wanner, *Solving ODEs II*,
     # IV.2; 0 when the two points coincide
-    gap = np.linalg.norm(z - before)
-    rho = float(np.linalg.norm(stages[12] - stages[11]) / gap) if gap > 0.0 else 0.0
+    gap = _norm(z - before)
+    rho = _norm(stages[12] - stages[11]) / gap if gap > 0.0 else 0.0
     return z, stages[12], dt * (_DOP_E @ stages), rho
+
+
+def _norm(x):
+    """|x| of a 1-D array, computed as ``np.linalg.norm`` does."""
+    return math.sqrt(x @ x)
 
 
 def _block_error(err, y, blocks):
     """Hairer's combined estimate |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) from the
     rows (e5, e3) of ``err``, on each block relative to max(1, |y|) there;
     the largest over the blocks, NaN if any is NaN."""
-    worst = []
+    worst = 0.0
     for sl in blocks:
-        e5, e3 = np.linalg.norm(err[:, sl], axis=1) / max(1.0, float(np.linalg.norm(y[sl])))
-        worst.append(e5 * e5 / np.hypot(e5, 0.1 * e3) if e5 else 0.0)
-    return float(np.max(worst))
+        e = err[:, sl]
+        # the row norms as np.linalg.norm(e, axis=1) computes them
+        e5, e3 = np.sqrt(np.add.reduce(e * e, axis=1)) / max(1.0, _norm(y[sl]))
+        block = e5 * e5 / np.hypot(e5, 0.1 * e3) if e5 else 0.0
+        if block > worst or block != block:  # once NaN, the result stays NaN
+            worst = block
+    return float(worst)
 
 
 def _step_factor(ratio):
@@ -323,14 +337,14 @@ def gradient_flow(ctx: CartanContext, spec: RepSpec, v0: RepVector,
         # dy is the step's last stage, so moments[0] was evaluated at y and
         # the criticality residual is |dy| / |y|
         fval = float(moments[0] @ moments[0])
-        res = float(np.linalg.norm(dy) / np.linalg.norm(y))
+        res = _norm(dy) / _norm(y)
         energy_trace.append((t, fval))
         residual_trace.append((t, res))
         return res <= params.residual_tol
 
     def to_sphere(y, dy):
         # f is homogeneous of degree 1, so f(y / |y|) = f(y) / |y|
-        nrm = np.linalg.norm(y)
+        nrm = _norm(y)
         return y / nrm, dy / nrm
 
     def embed(y):

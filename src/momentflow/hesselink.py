@@ -6,6 +6,10 @@ minimum-norm points of weight hulls, optimal destabilizing classes, label
 enumeration and stratum membership.  The numerical side compares a label
 against the limit spectrum of the gradient flow, which is the content of
 the equality between the analytically and algebraically defined strata.
+``kn_label_via_flow`` starts Wolfe's algorithm from the face of the flow's
+limit; ``optimal_class`` and ``stratum_membership`` run it cold, so the
+tests that hold Wolfe against the enumeration oracle still compare two
+routes that share no arithmetic.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import numpy as np
 
 from .cartan import CartanContext, weyl_normalize
 from .flows import FlowResult, gradient_flow
-from .minnorm import (RationalVector, _dot, _feasible_affine_minimizers, min_norm_point,
-                      to_rational_vector)
+from .minnorm import (MinNormCertificate, RationalVector, _dot, _feasible_affine_minimizers,
+                      _points, _wolfe, min_norm_point, to_rational_vector)
 from .reps import RepSpec, RepVector, _integers, _weight_spaces, rep_vector, weight_components
 
 __all__ = [
@@ -131,10 +135,11 @@ class HesselinkLabel:
 def optimal_class(spec: RepSpec, v: RepVector) -> HesselinkLabel | None:
     """Label of the stratum through v, or None when v is torus-semistable
     (zero lies in the convex hull of its state)."""
-    cert = min_norm_point(state_of(spec, v))
-    if cert.is_zero:
-        return None
-    return HesselinkLabel.from_eta(cert.eta)
+    return _label(min_norm_point(state_of(spec, v)))
+
+
+def _label(cert: MinNormCertificate) -> HesselinkLabel | None:
+    return None if cert.is_zero else HesselinkLabel.from_eta(cert.eta)
 
 
 @dataclass(frozen=True)
@@ -238,14 +243,19 @@ def kn_label_via_flow(ctx: CartanContext, spec: RepSpec, v: RepVector) -> KnFlow
     coordinates; they match when the flow converged and no entry deviates
     by more than ``LABEL_MATCH_TOL``.
 
-    The caller is responsible for choosing v so the diagonal torus is
-    optimal (Jordan representatives and single-weight vectors qualify);
-    otherwise the two sides are allowed to disagree.
+    The flow runs first, and the exact label is the minimum-norm point of
+    the state of v found by Wolfe's algorithm started from the state weights
+    the limit keeps (its face, when the flow found it; the label is the same
+    whatever the start).  The caller is responsible for choosing v so the
+    diagonal torus is optimal (Jordan representatives and single-weight
+    vectors qualify); otherwise the two sides are allowed to disagree.
     """
-    label = optimal_class(spec, v)
+    state = state_of(spec, v)
+    result = gradient_flow(ctx, spec, v)
+    kept = set(state_of(spec, result.limit))
+    label = _label(_wolfe(_points(state), [chi for chi in state if chi in kept]))
     if label is None:
         raise ValueError("v is torus-semistable; the flow comparison needs an unstable vector")
-    result = gradient_flow(ctx, spec, v)
     spectrum = result.limit_moment.spectrum
     expected = np.array([float(x) for x in label.eta])
     dev = float(np.max(np.abs(spectrum - expected)))

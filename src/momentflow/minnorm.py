@@ -14,6 +14,11 @@ Two independent routes are provided:
   Wolfe's minor cycle solves in Fractions (:func:`solve_exact`), so the two
   routes share no arithmetic and check one against the other.
 
+A private seeded start (``_wolfe(pts, face)``, used by
+``hesselink.kn_label_via_flow``) solves its face once on the walk's integer
+kernel; the cold runs that :func:`min_norm_point` makes, and the oracle
+tests compare, never take it.
+
 The KKT characterization used throughout: eta is the minimum-norm point of
 conv(P) iff eta lies in the hull and <p, eta> >= <eta, eta> for every p in P.
 """
@@ -150,13 +155,47 @@ def min_norm_point(weights) -> MinNormCertificate:
     coerced with Fraction).  Entering ties are broken by the
     lexicographically smallest weight, so the run is deterministic.
     """
-    pts = _points(weights)
+    return _wolfe(_points(weights))
 
-    # initial corral: the smallest-norm point, lexicographic tie-break
-    start = min(pts, key=lambda p: (_dot(p, p), p))
-    corral: list[RationalVector] = [start]
-    lam: list[Fraction] = [Fraction(1)]
-    x = start
+
+def _seed(pts: list[RationalVector], face):
+    """Wolfe's starting corral from the weights ``face`` of ``pts``: the face
+    (sorted and deduplicated), the barycentric coefficients of its
+    affine-hull minimizer and that minimizer, or None when the face is
+    empty, affinely dependent or has a coefficient <= 0.  Solved once by the
+    enumerator's integer kernel.  A face weight not among ``pts`` raises."""
+    corral = sorted({to_rational_vector(w) for w in face})
+    if not corral:
+        return None
+    known = set(pts)
+    if any(p not in known for p in corral):
+        raise ValueError("face weights must be among the weights")
+    ints, scale = _integer_points(corral)
+    gram = [[sum(map(mul, p, q)) for q in ints] for p in ints]
+    subset = list(range(len(corral)))
+    sol = _affine_coefficients(gram, subset)
+    if sol is None or any(c <= 0 for c in sol[0]):
+        return None
+    numerators, det = sol
+    return (corral, [Fraction(c, det) for c in numerators],
+            _combination(ints, subset, numerators, det * scale))
+
+
+def _wolfe(pts: list[RationalVector], face=()) -> MinNormCertificate:
+    """Wolfe's algorithm on the sorted distinct points ``pts``.
+
+    With a ``face`` whose affine-hull minimizer lies inside it (see
+    :func:`_seed`), the run starts from that corral, which satisfies Wolfe's
+    invariant: affinely independent, x its affine minimizer, every
+    coefficient positive.  Otherwise it starts from the smallest-norm point,
+    lexicographic tie-break.  The minimum-norm point is unique, so eta, q
+    and the margin do not depend on the start.
+    """
+    seed = _seed(pts, face)
+    if seed is None:
+        start = min(pts, key=lambda p: (_dot(p, p), p))
+        seed = [start], [Fraction(1)], start
+    corral, lam, x = seed
 
     for _ in range(_MAX_MAJOR_ITERATIONS):
         q = _dot(x, x)

@@ -166,7 +166,10 @@ class RepAction:
         return coeff, t
 
     def _gradient(self, coeff: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.bincount(self._i, coeff[self._k] * t, minlength=self.dim)
+        # bincount of no entries at all counts in integers: a stack with no
+        # entries (every reachable weight is 0) has the float gradient 0
+        return np.bincount(self._i, coeff[self._k] * t, minlength=self.dim).astype(float,
+                                                                                  copy=False)
 
 
 @lru_cache(maxsize=None)

@@ -51,3 +51,6 @@ def test_tiny_traced_round_passes_the_benchmark_checks(monkeypatch, workload):
                   else (rec["inp"]["family"], rec["inp"]["n"]) for rec in doc["records"]}
         assert doc["layers"]["momentmap.rep_action.builds"] == len(flowed)
         assert doc["layers"]["flows.gradient_per_step"] >= 12
+        # kn_label_via_flow seeds Wolfe with the flow's limit face, which
+        # certifies on the Jordan representatives: no Fraction solve is left
+        assert doc["layers"]["minnorm.solve_exact.calls"] == 0

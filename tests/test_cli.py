@@ -75,6 +75,20 @@ def test_flow_json_format(capsys):
     assert abs(doc["limit_spectrum"][0] - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("argv, csv", [
+    (["flow", "--family", "adjoint", "--n", "2", "--vector", "[1,0,0,1]"],
+     "0,0,0,0.70710678118654746,0,0,0.70710678118654746"),
+    (["flow", "--weights", "[[0,0],[1,0]]", "--vector", "[1,0]"], "0,0,0,1,0"),
+])
+def test_flow_on_zero_weights_converges_at_step_0(capsys, argv, csv):
+    # these exited 1 with numpy's "Cannot cast ufunc 'subtract' output ..."
+    code, out = _capture(capsys, argv)
+    assert code == 0 and out.splitlines()[1:] == [csv]
+    code, doc = _capture_json(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert (doc["status"], doc["steps"], doc["energy_last"]) == ("converged", 0, 0.0)
+
+
 def test_moment_subcommand(capsys):
     code, doc = _capture_json(capsys, [
         "moment", "--family", "standard", "--n", "2", "--vector", "[1,0]"])
@@ -624,10 +638,21 @@ def test_malformed_documents_name_the_document_and_entry(capsys, argv, message):
     pytest.param(lambda: bracket_preset("chain", 4.5), id="preset-n-float"),
     pytest.param(lambda: FlowParams(sample_stride=0.5), id="stride-float"),
     pytest.param(lambda: FlowParams(max_steps=True), id="max-steps-bool"),
+    pytest.param((lambda: FlowParams(t_max=True), "t_max must be a float, not a bool: True"),
+                 id="t-max-bool"),
+    pytest.param((lambda: FlowParams(residual_tol=np.False_),
+                  "residual_tol must be a float, not a bool: np.False_"),
+                 id="residual-tol-bool"),
 ])
 def test_non_integers_are_refused_not_truncated(capsys, call):
     # these used to read their entries through int(): 1.5 as 1, true as 1;
-    # a size or counter of 2.5 or True used to be accepted or fail later
+    # a size or counter of 2.5 or True used to be accepted or fail later, and
+    # FlowParams(t_max=True) integrated to t = 1
+    if isinstance(call, tuple):
+        call, message = call
+        with pytest.raises(ValueError, match=message):
+            call()
+        return
     if callable(call):
         with pytest.raises(ValueError, match="integer"):
             call()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,36 @@ def test_zero_vector_rejected():
     ctx = build_context(2, "GL")
     with pytest.raises(ValueError):
         gradient_flow(ctx, standard(2), rep_vector(standard(2), [0.0, 0.0]))
+
+
+def test_flow_on_zero_weights_stops_at_once():
+    # every coordinate the flow can reach has weight 0, so the restricted
+    # action has no entries, m(v) = 0 and v is already critical; this used
+    # to fail inside the first gradient, which counted in integers
+    cases = ((build_context(2, "GL"), adjoint(2), adjoint_from_matrix(np.eye(2))),
+             (build_context(2, "GL"), torus_weights([[0, 0], [1, 0]]), None))
+    for ctx, spec, v in cases:
+        v = v or rep_vector(spec, [1.0, 0.0])
+        res = gradient_flow(ctx, spec, v)
+        assert (res.status, res.steps, res.evaluations) == ("converged", 0, 1)
+        assert res.energy_trace == [(0.0, 0.0)] and res.residual_trace == [(0.0, 0.0)]
+        assert np.all(res.limit_moment.spectrum == 0.0)
+
+
+def test_block_error_keeps_a_nan_in_any_block():
+    from momentflow.flows import _block_error
+    blocks = [slice(0, 2), slice(2, 4)]
+    y = np.ones(4)
+    err = np.full((2, 4), 1e-3)
+    finite = _block_error(err, y, blocks)
+    assert np.isfinite(finite) and finite > 0.0
+    for col in (0, 3):
+        bad = err.copy()
+        bad[0, col] = np.nan
+        assert np.isnan(_block_error(bad, y, blocks))
+    # the worst block wins, whichever comes first
+    err[:, 2:] = 1e-2
+    assert _block_error(err, y, blocks) == _block_error(err[:, ::-1], y, blocks) > finite
 
 
 def test_coupled_flow_closed_form():
@@ -962,3 +993,47 @@ def test_flow_result_counts_the_integrated_coordinates(rng):
     for v, want in ((jordan, 7), (chain, 5), (dense, brackets(4).dim)):
         res = gradient_flow(build_context(v.spec.n, "GL"), v.spec, v)
         assert res.converged and res.coordinates == want
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _flow_digest(res):
+    return _digest([t for t, _ in res.samples], [v.coords for _, v in res.samples],
+                   res.energy_trace, res.residual_trace, res.limit.coords,
+                   res.limit_moment.matrix, res.limit_moment.spectrum,
+                   [res.steps, res.rejected, res.evaluations, res.coordinates])
+
+
+# sha256 of the float bytes of fixed runs; a different numpy or BLAS build
+# may round differently, so they are pinned for the build they were taken on
+_PINNED_NUMPY = "2.4.6"
+
+
+@pytest.mark.skipif(np.__version__ != _PINNED_NUMPY,
+                    reason=f"digests were taken with numpy {_PINNED_NUMPY}")
+def test_flow_results_are_pinned_bit_for_bit():
+    ctx3 = build_context(3, "GL")
+    mixed = adjoint_from_matrix(_e(3, 0, 1) + 2.0 * _e(3, 1, 2))
+    dense = rep_vector(adjoint(3), np.sin(np.arange(1.0, 10.0)))
+    chain = bracket_preset("chain", 5).normalized()
+    h0 = np.eye(3) + 0.25 * np.cos(np.arange(9.0)).reshape(3, 3)
+    got = {
+        "mixed": _flow_digest(gradient_flow(ctx3, adjoint(3), mixed)),
+        "dense": _flow_digest(gradient_flow(ctx3, adjoint(3), dense)),
+        "chain": _flow_digest(gradient_flow(build_context(5, "GL"), chain.spec, chain)),
+    }
+    for name, vbar in (("vfe-mixed", mixed), ("vfe-dense", dense)):
+        rep = verify_flow_equivalence(ctx3, adjoint(3), vbar, h0, 5.0)
+        got[name] = _digest([rep.max_dev_v, rep.max_dev_S, rep.passed])
+    assert got == {
+        "mixed": "21aa6bb48599a3554fb8ce543b97f9be02a0d7ec86c1bd222e1ec42304122b04",
+        "dense": "b98b30fd0af8ecfcae676361a66b17e475bcf4aa94a3d120fa3727b67668a8cb",
+        "chain": "41fc914f96f937d1d5cb01218335e151acccd2ead5eaceab08ead982f304bd7f",
+        "vfe-mixed": "10726c09d8d82a496457ef29d6e286ffb1248d3a0abe2017b90b23e33ea9720a",
+        "vfe-dense": "82cac06c50f253787e040b44831c6df61c23c51a09a6ffbc47c044748271e9fe",
+    }

@@ -17,6 +17,7 @@ from momentflow import (MINUS_INFINITY, RepSpec, adjoint, adjoint_from_matrix, a
                         torus_weights, weights_of, weyl_normalize)
 from momentflow.bracket import bracket_preset
 from momentflow.hesselink import HesselinkLabel
+from momentflow import minnorm
 from momentflow.minnorm import min_norm_point, min_norm_point_by_enumeration
 
 from conftest import random_vector
@@ -409,9 +410,58 @@ def test_kn_label_via_flow_examples():
 
 
 def test_kn_label_rejects_semistable():
+    # the identity's one weight is 0, so its flow stops at once with F = 0
     ctx = build_context(2, "GL")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="torus-semistable"):
         kn_label_via_flow(ctx, adjoint(2), adjoint_from_matrix(np.eye(2)))
+    with pytest.raises(ValueError, match="zero vector has no state"):
+        kn_label_via_flow(ctx, adjoint(2), adjoint_from_matrix(np.zeros((2, 2))))
+
+
+def _counting_solves(monkeypatch):
+    solves = {"n": 0}
+    solve = minnorm.solve_exact
+
+    def counted(a, b):
+        solves["n"] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(minnorm, "solve_exact", counted)
+    return solves
+
+
+def test_kn_label_is_optimal_class_without_a_fraction_solve(monkeypatch, rng):
+    # Wolfe starts from the face the flow's limit keeps, which certifies on
+    # every diagonal conjugate of a Jordan matrix: the label is
+    # optimal_class's and no minor cycle is left to solve
+    solves = _counting_solves(monkeypatch)
+    for n in range(4, 9):
+        ctx = build_context(n, "GL")
+        for p in partitions(n):
+            if p.parts[0] == 1:
+                continue  # the zero matrix
+            support = [i * n + i + 1 for i in range(n - 1) if i + 1 not in np.cumsum(p.parts)]
+            coords = np.zeros(n * n)
+            coords[support] = rng.uniform(0.5, 2.0, len(support))
+            v = rep_vector(adjoint(n), coords)
+            solves["n"] = 0
+            rep = kn_label_via_flow(ctx, v.spec, v)
+            assert solves["n"] == 0, p.parts
+            assert rep.hesselink.eta == optimal_class(v.spec, v).eta, p.parts
+            assert rep.match, p.parts
+
+
+def test_kn_label_without_a_certified_face_is_optimal_class(monkeypatch):
+    # the regular nilpotent conjugated by the unimodular I + E12 + E34: its
+    # flow leaves the torus-optimal face, so the seed does not certify and
+    # Wolfe goes on from the cold start to optimal_class's label
+    solves = _counting_solves(monkeypatch)
+    x = np.array([[0, 1, 1, -1], [0, 0, 1, -1], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=float)
+    v = adjoint_from_matrix(x)
+    rep = kn_label_via_flow(build_context(4, "GL"), adjoint(4), v)
+    assert solves["n"] > 0
+    assert rep.hesselink.eta == optimal_class(adjoint(4), v).eta == (
+        F(3, 10), F(1, 10), F(-1, 10), F(-3, 10))
 
 
 def test_project_to_sl():

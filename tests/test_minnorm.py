@@ -5,7 +5,7 @@ import pytest
 
 from momentflow import adjoint, enumerate_labels, minnorm
 from momentflow.minnorm import (_affine_coefficients, _affine_min_norm, _combination,
-                                _integer_points, min_norm_point,
+                                _integer_points, _points, _wolfe, min_norm_point,
                                 min_norm_point_by_enumeration, solve_exact,
                                 to_rational_vector)
 
@@ -177,3 +177,52 @@ def test_oracle_equivalence_random(rng):
         pts = _rational_points(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)))
         cert = min_norm_point(pts)
         assert (cert.eta, cert.q) == min_norm_point_by_enumeration(pts)
+
+
+def test_seeded_wolfe_matches_cold_wolfe(monkeypatch, rng):
+    # a face only moves Wolfe's start: eta, q and the margin are the cold
+    # run's whether or not the face certifies, and a face that does (the
+    # cold run's own support always does) leaves no minor cycle to solve.
+    # Each set tries its cold support and one of: a single point, the whole
+    # set (often dependent), a random part of it (at times empty).
+    solves = {"n": 0}
+
+    def counted(a, b):
+        solves["n"] += 1
+        return solve_exact(a, b)
+
+    monkeypatch.setattr(minnorm, "solve_exact", counted)
+    kinds = {"empty": 0, "single": 0, "dependent": 0, "non-positive": 0, "certified": 0}
+    for trial in range(2000):
+        dim, k = int(rng.integers(1, 8)), int(rng.integers(1, 11))
+        if trial % 2:
+            pts = _rational_points(rng, dim, k)
+        else:
+            pts = [tuple(int(x) for x in rng.integers(-3, 4, size=dim)) for _ in range(k)]
+            pts += pts[:int(rng.integers(0, 3))]
+        distinct = _points(pts)
+        cold = _wolfe(distinct, ())
+        other = ([pts[int(rng.integers(0, len(pts)))]], pts,
+                 [p for p in pts if rng.random() < 0.5])[trial % 3]
+        for face in (cold.support, other):
+            corral = sorted(set(map(to_rational_vector, face)))
+            # classified by the Fraction solve, not by the seed's integer kernel
+            ref = _affine_min_norm(corral) if corral else None
+            kind = ("empty" if not corral else "single" if len(corral) == 1
+                    else "dependent" if ref is None
+                    else "non-positive" if min(ref[1]) <= 0 else "certified")
+            kinds[kind] += 1
+            solves["n"] = 0
+            cert = _wolfe(distinct, face)
+            assert (cert.eta, cert.q, cert.optimality_margin) == (
+                cold.eta, cold.q, cold.optimality_margin)
+            if face is cold.support:
+                assert solves["n"] == 0
+    assert kinds.pop("empty") > 0 and min(kinds.values()) >= 300, kinds
+
+
+def test_seed_outside_the_weights_is_refused():
+    pts = _points([(1, 0), (0, 1)])
+    for face in ([(1, 1)], [(1, 0), (1, 0, 0)], [(F(1, 2), F(1, 2))]):
+        with pytest.raises(ValueError, match="face weights must be among the weights"):
+            _wolfe(pts, face)
