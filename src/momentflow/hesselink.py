@@ -15,7 +15,7 @@ routes that share no arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -111,13 +111,14 @@ class HesselinkLabel:
     ``eta`` is the Weyl-normalized (descending) minimum-norm point of the
     state hull, ``q = <eta, eta>``, ``eta_normalized = eta / q`` is the
     optimal-class representative, and ``beta`` is the diagonal matrix with
-    the eta coordinates.
+    the eta coordinates.  Labels compare and hash by their exact fields;
+    ``beta`` is derived from eta and left out.
     """
 
     eta: RationalVector
     q: Fraction
     eta_normalized: RationalVector
-    beta: np.ndarray
+    beta: np.ndarray = field(compare=False)
 
     @classmethod
     def from_eta(cls, eta) -> "HesselinkLabel":

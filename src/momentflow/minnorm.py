@@ -250,22 +250,21 @@ def _affine_coefficients(gram: list[list[int]], subset: list[int]
     ``gram`` is the integer Gram matrix of all the points.  The bordered Gram
     system is solved by fraction-free Gauss-Jordan elimination (Bareiss), the
     integer twin of :func:`solve_exact`: every division is exact by
-    Sylvester's identity, so nothing leaves the integers, and a column with
-    no nonzero pivot means the system is singular.  The last pivot is the
-    determinant, and it is positive: for independent points p_1, ..., p_k
-    only column 0 swaps rows (the border row's leading zero), after which
-    the j-th pivot is the Gram determinant of p_2 - p_1, ..., p_j - p_1.
+    Sylvester's identity, so nothing leaves the integers.  The rows are
+    built in elimination order, the first point's row, then the border row,
+    then the other points' rows, so that for j >= 1 the j-th pivot is the
+    Gram determinant of p_2 - p_1, ..., p_j - p_1: a zero pivot means the
+    points are dependent, and the last pivot, the determinant, is positive.
     """
     k = len(subset)
-    m = [[0] + [1] * k + [1]] + [[1] + [gram[i][j] for j in subset] + [0] for i in subset]
+    rows = [[1] + [gram[i][j] for j in subset] + [0] for i in subset]
+    m = [rows[0], [0] + [1] * k + [1]] + rows[1:]
     prev = 1
     for col in range(k + 1):
         # rows keep only the columns not yet eliminated, then the right-hand side
-        piv = next((r for r in range(col, k + 1) if m[r][0]), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
         p, *pivot_tail = m[col]
+        if p == 0:
+            return None
         m = [pivot_tail if r == col else
              [(p * x - row[0] * y) // prev for x, y in zip(row[1:], pivot_tail)]
              for r, row in enumerate(m)]

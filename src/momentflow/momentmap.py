@@ -8,10 +8,10 @@ computed here by expanding over the orthonormal basis B_k of p carried by a
 CartanContext.  That expansion is the single source of truth; the per-family
 closed forms below are verification shortcuts and are tested against it.
 The operators pi(B_k) are stored sparse, as their nonzero entries in a fixed
-order (see :class:`RepAction`), built from the slot table without a dense
-operator, and every contraction visits only those.  An action restricted
-to the coordinates a gradient flow can reach integrates sparse inputs on
-their few weight spaces.
+order (see :class:`RepAction`), built from the moves of ``reps._lie_moves``
+without a dense operator, and every contraction visits only those.  An
+action restricted to the coordinates a gradient flow can reach integrates
+sparse inputs on their few weight spaces.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 
 from .cartan import CartanContext
 from .reps import (ADJOINT, DUAL, LAMBDA2, STANDARD, TORUS_WEIGHTS, RepSpec, RepVector,
-                   _checked_in_range, _lie_moves, _weight_spaces, brackets_tensor,
-                   lambda2_to_matrix)
+                   _checked_in_range, _lie_moves, brackets_tensor, lambda2_to_matrix)
 
 __all__ = [
     "MomentValue",
@@ -57,10 +56,10 @@ class RepAction:
     entry of the matrix of pi(B_k) is ``value``.  The entries are ordered by
     k, then by column j, then by row i; the contractions sum in that order,
     so it fixes the last bits of every result.  Each pi(B_k) is summed
-    from the slot table's moves (``reps._lie_moves``) by one bincount, so
-    no dense operator is formed, neither a dim x dim pi(B_k) nor the
-    dim_p x dim x dim stack (0.1-0.8 % nonzero for brackets), and each
-    value is ``reps._lie``'s, bit for bit (W @ diag(B_k) on a torus).  With
+    from the moves of ``reps._lie_moves`` by one bincount, for every
+    family alike, so no dense operator is formed, neither a dim x dim
+    pi(B_k) nor the dim_p x dim x dim stack (0.1-0.8 % nonzero for
+    brackets), and each value is ``reps._lie``'s, bit for bit.  With
     t = value * v[j] per entry, the moment coefficients are the sums of
     t * v[i] over each k, divided by |v|^2, and the gradient pi(m(v)) v
     sums coeff[k] * t over each row i.
@@ -74,29 +73,20 @@ class RepAction:
         if ctx.n != spec.n:
             raise ValueError(f"context size {ctx.n} != representation size {spec.n}")
         dim = spec.dim
+        j, i, c, a, b = _lie_moves(spec)
+        # number the (j, i) pairs in order, so that one bincount per k sums
+        # each entry's moves in order and lists the entries by j, i
+        key = j * dim + i
+        pairs = np.flatnonzero(np.bincount(key, minlength=dim * dim))
+        rank = np.zeros(dim * dim, dtype=np.intp)
+        rank[pairs] = np.arange(pairs.size)
+        key, cell = rank[key], a * spec.n + b
         parts = []
-        if spec.family == TORUS_WEIGHTS:
-            # pi(B_k) is diagonal with _lie's values W @ diag(B_k); an
-            # off-diagonal B_k has a zero diagonal and keeps no entries
-            w = _weight_spaces(spec)[0]
-            for k in range(ctx.dim_p):
-                d = w @ np.diagonal(ctx.p_basis[k])
-                j = np.flatnonzero(d)
-                parts.append((np.full(j.size, k), j, j, d[j]))
-        else:
-            j, i, c, a, b = _lie_moves(spec)
-            # number the (j, i) pairs in order, so that one bincount per k
-            # sums each entry's moves in order and lists the entries by j, i
-            key = j * dim + i
-            pairs = np.flatnonzero(np.bincount(key, minlength=dim * dim))
-            rank = np.zeros(dim * dim, dtype=np.intp)
-            rank[pairs] = np.arange(pairs.size)
-            key, cell = rank[key], a * spec.n + b
-            for k, bk in enumerate(ctx.p_basis.reshape(ctx.dim_p, -1)):
-                entry = np.bincount(key, c * bk[cell], minlength=pairs.size)
-                nz = np.flatnonzero(entry)
-                cols, rows = np.divmod(pairs[nz], dim)
-                parts.append((np.full(nz.size, k), rows, cols, entry[nz]))
+        for k, bk in enumerate(ctx.p_basis.reshape(ctx.dim_p, -1)):
+            entry = np.bincount(key, c * bk[cell], minlength=pairs.size)
+            nz = np.flatnonzero(entry)
+            cols, rows = np.divmod(pairs[nz], dim)
+            parts.append((np.full(nz.size, k), rows, cols, entry[nz]))
         self._store(ctx, spec, np.arange(dim), *(np.concatenate(col) for col in zip(*parts)))
 
     def _store(self, ctx, spec, support, *entries):

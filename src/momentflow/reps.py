@@ -24,11 +24,14 @@ by sqrt(2).  Dimension, weights, the group and Lie actions and the
 coordinate bridges all derive from the slot signs and this rule: both
 actions apply one matrix to one slot at a time (``_on_slot``), rho(g) by
 composing and pi(X) by summing over the slots, and ``_lie_moves`` lists
-the matrix of pi(X) as the same per-slot terms.  The weights and weight
-spaces of a spec are built once and cached.  The invariant inner product on
-each space is then the plain dot product of coordinates: tr(x^T y) on gl_n,
--tr(AB)/2 on skew matrices, and for brackets the sum over *ordered* pairs
-(i, j) of <mu(e_i,e_j), mu'(e_i,e_j)>.
+the matrix of pi(X) as the same per-slot terms.  A torus module's moves
+are its weights on the diagonal, coordinate j scaled by w_j[a] X[a, a], so
+the moves describe all six families, and the weights of every spec are
+read off their diagonal; weights and weight spaces are built once and
+cached.  The invariant inner product on each space is then the plain dot
+product of coordinates: tr(x^T y) on gl_n, -tr(AB)/2 on skew matrices, and
+for brackets the sum over *ordered* pairs (i, j) of <mu(e_i,e_j),
+mu'(e_i,e_j)>.
 """
 
 from __future__ import annotations
@@ -402,7 +405,8 @@ def _lie(spec: RepSpec, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     accumulated in place, in slot order.
     """
     if spec.family == TORUS_WEIGHTS:
-        return (_weight_spaces(spec)[0] @ np.diagonal(x)) * c
+        # the weight columns one by one in ascending a, as the moves sum them
+        return sum(w * xa for w, xa in zip(_weight_spaces(spec)[0].T, np.diagonal(x))) * c
     signs = _SLOTS[spec.family]
     t = _tensor(spec, c)
     out = np.zeros(t.shape)
@@ -414,19 +418,24 @@ def _lie(spec: RepSpec, x: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _lie_moves(spec: RepSpec) -> tuple:
     """The matrix of pi(X) on coordinates as moves, arrays ``(j, i, c, a, b)``:
     its (i, j) entry is the sum, in array order from 0, of c * X[a, b] over
-    the moves with that (i, j), which is ``_lie``'s value bit for bit.  Not
-    for TorusWeights.
+    the moves with that (i, j), which is ``_lie``'s value bit for bit.
 
-    Coordinate j is the tensor entry at a position P (c = 1) and, in an
-    antisymmetric family, also at the swapped position (c = -1).  Slot s
-    acts by M = X or -X^T as its sign says, which takes P to P with index a
-    in slot s, weighted by M[a, P[s]]; that is a move when the new position
-    holds a coordinate i.  A -1 slot stores -X^T[a, b] = -X[b, a] as c
-    negated and a, b exchanged.  The moves run slot by slot, the order in
-    which ``_lie`` adds the slots' terms; within a slot no (i, j) repeats,
-    as the two positions of a coordinate differ in two slots, so each
-    slot's term is one product.
+    A torus module has the move (j, j, w_j[a], a, a) for each nonzero entry
+    of its weights, by j and then ascending a.  Otherwise coordinate j is
+    the tensor entry at a position P (c = 1) and, in an antisymmetric
+    family, also at the swapped position (c = -1).  Slot s acts by M = X or
+    -X^T as its sign says, which takes P to P with index a in slot s,
+    weighted by M[a, P[s]]; that is a move when the new position holds a
+    coordinate i.  A -1 slot stores -X^T[a, b] = -X[b, a] as c negated and
+    a, b exchanged.  The moves run slot by slot, the order in which
+    ``_lie`` adds the slots' terms; within a slot no (i, j) repeats, as the
+    two positions of a coordinate differ in two slots, so each slot's term
+    is one product.
     """
+    if spec.family == TORUS_WEIGHTS:
+        w = np.array(spec.weights)
+        j, a = np.nonzero(w)
+        return j, j, w[j, a].astype(float), a, a
     n, signs = spec.n, _SLOTS[spec.family]
     _, idx, swapped = _index(spec.family, n)
     pos = np.array(idx[1:])                  # pos[s, j]: slot s's index of coordinate j
@@ -464,18 +473,16 @@ def apply_lie(spec: RepSpec, x, v: RepVector) -> RepVector:
 @lru_cache(maxsize=None)
 def _weight_spaces(spec: RepSpec) -> tuple:
     """``(w, spaces)``, built once per spec: w[k] is the diagonal-torus
-    weight of coordinate k (a read-only int array), the sum over slots of
-    the slot sign times the unit vector of the slot's index; ``spaces`` maps
-    each distinct weight, in lexicographic order, to the read-only array of
-    its coordinate indices."""
-    if spec.family == TORUS_WEIGHTS:
-        w = np.array(spec.weights, dtype=int)
-    else:
-        _, idx, _ = _index(spec.family, spec.n)
-        w = np.zeros((spec.dim, spec.n), dtype=int)
-        rows = np.arange(spec.dim)
-        for i, sign in zip(idx[1:], _SLOTS[spec.family]):
-            w[rows, i] += sign
+    weight of coordinate k (a read-only int array), read off the diagonal
+    moves of pi: w[k, a] is the sum of c over the moves (k, k, c, a, a),
+    which for a slot family is the sum over slots of the slot sign times
+    the unit vector of the slot's index.  ``spaces`` maps each distinct
+    weight, in lexicographic order, to the read-only array of its
+    coordinate indices."""
+    j, i, c, a, _ = _lie_moves(spec)
+    on = i == j
+    w = np.bincount(j[on] * spec.n + a[on], c[on],
+                    minlength=spec.dim * spec.n).reshape(spec.dim, spec.n).astype(int)
     spaces = {chi: np.flatnonzero((w == chi).all(axis=1))
               for chi in sorted(set(map(tuple, w.tolist())))}
     for a in (w, *spaces.values()):

@@ -29,6 +29,10 @@ def matrix_families(n):
     return [standard(n), dual(n), adjoint(n), lambda2(n), brackets(n)]
 
 
+# a torus module with a zero weight row and a repeated weight
+SPARSE_TORUS_WEIGHTS = ((1, 2, 0), (0, 0, 0), (-1, 1, 3), (1, 2, 0), (0, -2, 1))
+
+
 def random_vector(rng, spec):
     return rep_vector(spec, rng.normal(size=spec.dim))
 

@@ -89,3 +89,29 @@ def test_every_top_level_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+_FAMILY_CONSTANTS = {"STANDARD", "DUAL", "ADJOINT", "LAMBDA2", "BRACKETS", "TORUS_WEIGHTS"}
+
+
+def _family_comparisons(tree):
+    """(top-level definition, line) of each comparison that reads a
+    ``.family`` or a family constant."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(
+                    (isinstance(x, ast.Attribute) and x.attr == "family")
+                    or (isinstance(x, ast.Name) and x.id in _FAMILY_CONSTANTS)
+                    for operand in (node.left, *node.comparators) for x in ast.walk(operand)):
+                yield getattr(top, "name", None), node.lineno
+
+
+def test_only_the_catalog_the_cli_and_the_closed_forms_branch_on_the_family():
+    # the pi build, the moment map, the flows and the labels treat every
+    # family alike through reps' moves and weights: a family branch anywhere
+    # else would be a second build path
+    found = [f"{path.name}:{line} in {where}" for path in SOURCES
+             if path.name not in ("reps.py", "cli.py")
+             for where, line in _family_comparisons(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, where) != ("momentmap.py", "closed_form_moment")]
+    assert found == []

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentflow import (MINUS_INFINITY, RepSpec, adjoint, adjoint_from_matrix, apply_group,
-                        brackets, build_context, dual,
-                        enumerate_labels, instability_measure, jordan_label,
+from momentflow import (MINUS_INFINITY, Partition, RepSpec, adjoint, adjoint_from_matrix,
+                        apply_group, brackets, build_context, dual,
+                        enumerate_labels, instability_measure, jordan_label, jordan_vector,
                         kn_label_via_flow, label_from_json, label_to_json,
                         lambda2, optimal_class, partitions, project_to_sl,
                         rep_vector, standard, state_of, stratum_membership,
@@ -462,6 +462,21 @@ def test_kn_label_without_a_certified_face_is_optimal_class(monkeypatch):
     assert solves["n"] > 0
     assert rep.hesselink.eta == optimal_class(adjoint(4), v).eta == (
         F(3, 10), F(1, 10), F(-1, 10), F(-3, 10))
+
+
+def test_labels_compare_and_hash_by_their_exact_fields():
+    # beta is a numpy array: with it compared, == raised "truth value of an
+    # array ... is ambiguous" and hash() raised "unhashable type"
+    p = Partition((3, 2))
+    v = jordan_vector(p)
+    labels = [jordan_label(p).label, optimal_class(v.spec, v),
+              kn_label_via_flow(build_context(5, "GL"), v.spec, v).hesselink,
+              label_from_json(label_to_json(optimal_class(v.spec, v)))]
+    assert all(label == labels[0] for label in labels)
+    assert len(set(labels)) == 1
+    other = jordan_label(Partition((4, 1))).label
+    assert other != labels[0]
+    assert len(set(labels + [other])) == 2
 
 
 def test_project_to_sl():

@@ -10,7 +10,8 @@ from momentflow import (adjoint, adjoint_from_matrix, apply_group, apply_lie,
                         torus_weights)
 from momentflow.bracket import bracket_preset
 
-from conftest import bracket_value, matrix_families, random_orthogonal, random_vector
+from conftest import (SPARSE_TORUS_WEIGHTS, bracket_value, matrix_families, random_orthogonal,
+                      random_vector)
 
 
 def _e(n, i, j):
@@ -300,6 +301,11 @@ def test_sparse_operator_build_is_deterministic_and_ordered(rng):
     cases = [(group, spec) for n in range(2, 7) for group in ("GL", "SL")
              for spec in matrix_families(n) + [_torus_module(rng, n)]]
     cases += [(group, spec) for spec in (brackets(7), adjoint(8)) for group in ("GL", "SL")]
+    # torus modules where a sum of weight columns in another order differs
+    # most in its last bits, and one with a zero weight row and a repeat
+    cases += [(group, spec) for spec in (_torus_module(rng, 7), _torus_module(rng, 8),
+                                         torus_weights(SPARSE_TORUS_WEIGHTS))
+              for group in ("GL", "SL")]
     for group, spec in cases:
         ctx = build_context(spec.n, group)
         stack = RepAction(ctx, spec).pi_stack

@@ -9,8 +9,8 @@ from momentflow import (TORUS_WEIGHTS, adjoint, adjoint_from_matrix, apply_group
 from momentflow.bracket import bracket_preset
 from momentflow.reps import RepSpec, _weight_spaces, brackets_from_tensor, brackets_tensor
 
-from conftest import (bracket_value, matrix_families, random_orthogonal, random_vector,
-                      random_well_conditioned)
+from conftest import (SPARSE_TORUS_WEIGHTS, bracket_value, matrix_families, random_orthogonal,
+                      random_vector, random_well_conditioned)
 
 
 def _e(n, i, j):
@@ -87,6 +87,7 @@ def test_weights_of_families():
     assert weights_of(lambda2(3)) == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
     adj = weights_of(adjoint(2))
     assert adj == [(0, 0), (1, -1), (-1, 1), (0, 0)]
+    assert weights_of(torus_weights(SPARSE_TORUS_WEIGHTS)) == list(SPARSE_TORUS_WEIGHTS)
     # reference: the coordinate orders of the module docstring as explicit
     # loops; slot signs (+1 for g, -1 for g^{-T}) add up to the weight
     for n in range(1, 7):
